@@ -10,7 +10,7 @@
 //	          -data-dir /var/lib/trajsim -fsync interval \
 //	          -max-open-files 1024 -retention-bytes 268435456 -retention-age 720h \
 //	          -read-cache-bytes 67108864 \
-//	          -sink-writers 4 -sink-queue 256 -sink-full block \
+//	          -sink-writers 4 -sink-queue 256 \
 //	          -max-sessions 100000 -device-rate 100 -queue-watermark 0.9 \
 //	          -shutdown-timeout 10s -compact-every 1h -pprof localhost:6060
 //
@@ -69,15 +69,13 @@
 // per-device log (internal/segstore); -fsync picks the durability/latency
 // trade-off (interval, always, never). Disk writes happen on an async
 // per-device-ordered sink pipeline, outside the ingest critical section:
-// -sink-writers and -sink-queue size it, -sink-full picks what a full
-// queue does (block ingest for durability, or drop batches for
-// availability — drops are counted in /stats), and -sink-sync restores
-// the old write-under-lock behavior for comparison. Each writer drains
-// its backlog in sweeps — everything immediately queued, across devices,
-// capped at -sink-sweep segments — writing one merged append per device
-// and settling the whole sweep with one fsync per dirty file, so under
-// -fsync=always a backlog of K devices × M batches costs at most K
-// fsyncs. -compact-every runs
+// -sink-writers and -sink-queue size it, and a full queue blocks ingest
+// until the disk catches up (blocked enqueues are counted in /stats).
+// Each writer drains its backlog in sweeps — everything immediately
+// queued, across devices, capped at -sink-sweep segments — writing one
+// merged append per device and settling the whole sweep with one commit,
+// at most one fsync per dirty file, so under -fsync=always a backlog of
+// K devices × M batches costs at most K fsyncs. -compact-every runs
 // a periodic full-disk retention sweep that also reaches cold devices;
 // -pprof serves net/http/pprof on a separate listener for live
 // profiling. The store is resource-bounded:
@@ -159,8 +157,6 @@ func main() {
 		sinkWriters = flag.Int("sink-writers", 0, "goroutines draining the async segment-sink queue (0 = engine default)")
 		sinkQueue   = flag.Int("sink-queue", 0, "per-writer sink queue depth in batches (0 = engine default)")
 		sinkSweep   = flag.Int("sink-sweep", 0, "max segments one sink-writer sweep folds into a single cross-device group commit (0 = engine default)")
-		sinkFull    = flag.String("sink-full", "block", "full sink-queue policy: block (durability) or drop (availability)")
-		sinkSync    = flag.Bool("sink-sync", false, "bypass the async sink queue and write segments to disk inside the ingest critical section (pre-v4 behavior, for comparison)")
 
 		tailBuffer = flag.Int("tail-buffer", 0, "per-subscriber /devices/{id}/tail buffer in batches; a client that falls further behind is disconnected with a lagged event (0 = default)")
 
@@ -199,11 +195,6 @@ func main() {
 		}
 	}
 
-	fullPolicy, err := stream.ParseSinkFullPolicy(*sinkFull)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "trajserve:", err)
-		os.Exit(1)
-	}
 	evictEvery := *idle / 4
 	if evictEvery < time.Second {
 		evictEvery = time.Second
@@ -218,8 +209,6 @@ func main() {
 		SinkWriters:    *sinkWriters,
 		SinkQueue:      *sinkQueue,
 		SinkSweep:      *sinkSweep,
-		SinkFull:       fullPolicy,
-		SinkSync:       *sinkSync,
 		MaxSessions:    *maxSessions,
 		ShedSessions:   *shed,
 		DeviceRate:     *deviceRate,

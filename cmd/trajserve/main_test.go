@@ -1147,7 +1147,7 @@ func TestStatsReportsSinkQueue(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&raw); err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{"sink_queued", "sink_blocked", "sink_dropped", "sink_dropped_segments"} {
+	for _, key := range []string{"sink_queued", "sink_blocked", "sink_sweeps", "sink_sweep_batches"} {
 		if _, ok := raw[key]; !ok {
 			t.Errorf("GET /stats missing %q", key)
 		}

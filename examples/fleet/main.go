@@ -79,10 +79,9 @@ func main() {
 		Sink:       store, // every finalized segment also lands on disk…
 		// …via the async sink pipeline: disk writes happen on these two
 		// writer goroutines, outside the ingest critical section, ordered
-		// per device. SinkBlock (the default) means a stalled disk slows
-		// ingest rather than losing acknowledged segments.
+		// per device. A full queue blocks ingest, so a stalled disk slows
+		// it rather than losing acknowledged segments.
 		SinkWriters: 2,
-		SinkFull:    trajsim.SinkBlock,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -119,8 +118,7 @@ func main() {
 	fmt.Printf("  %d segments emitted (%d at shutdown flush), ratio %.1f%%, %d contended ingests\n",
 		final.Segments, tailSegs, 100*float64(final.Segments)/float64(final.Points),
 		final.Contended)
-	fmt.Printf("  sink queue: %d enqueues blocked, %d batches dropped (block policy ⇒ always 0)\n",
-		final.SinkBlocked, final.SinkDropped)
+	fmt.Printf("  sink queue: %d enqueues blocked on a full queue\n", final.SinkBlocked)
 
 	// Part 3: durability. The store now holds everything the engine
 	// emitted; close it and reopen the directory cold — a restarted

@@ -66,7 +66,7 @@ func runLockIO(pass *Pass) {
 // exercise the same code path as the real tree.
 var ioReceiverTypes = map[string]map[string]bool{
 	"segstore": {"file": true, "fileSystem": true},
-	"stream":   {"Sink": true, "DeferredSink": true},
+	"stream":   {"Sink": true},
 	"os":       {"File": true},
 }
 

@@ -20,9 +20,10 @@ import (
 // log's mu when they touch the LRU). Eviction runs in the opposite
 // direction — it needs the victim's mu to close its file — so it uses
 // TryLock: a victim that is mid-operation is by definition warm, and
-// skipping it cannot deadlock. The cap is therefore a strong target, not
-// an invariant: it can be exceeded transiently while every open log is
-// simultaneously busy, and converges back on the next registration.
+// skipping it cannot deadlock. Pinned logs are skipped too, so the cap
+// can be exceeded while logs are busy or pinned; it holds at
+// quiescence, because every registration and every commit that releases
+// a log's last pin trims the list back.
 type handleLRU struct {
 	cap int
 	mu  sync.Mutex
@@ -61,21 +62,30 @@ func (s *Store) registerHandle(l *deviceLog) {
 	}
 	s.handleMisses.Add(1)
 	l.elem = h.ll.PushFront(l)
+	h.mu.Unlock()
+	s.trimHandles(l)
+}
+
+// trimHandles evicts the coldest logs other than keep (whose mu the
+// caller holds, or nil) while the cap is exceeded.
+func (s *Store) trimHandles(keep *deviceLog) {
+	h := &s.handles
 	// Detach victims under their (try-)locked mu, but do the closes — real
-	// I/O, possibly an fsync — after dropping every lock.
+	// I/O, possibly an fsync — after dropping every lock taken here.
 	type cold struct {
 		log   *deviceLog
 		f     file
 		dirty bool
 	}
 	var evict []cold
+	h.mu.Lock()
 	for e := h.ll.Back(); e != nil && h.ll.Len() > h.cap; {
 		prev := e.Prev()
 		v := e.Value.(*deviceLog)
-		if v != l && v.mu.TryLock() {
-			// A pinned log is mid-group-commit: the pending CommitDevices
-			// fsync must land on this handle, so it is exempt until the
-			// sweep's commit releases the pin (always within one sweep).
+		if v != keep && v.mu.TryLock() {
+			// A pinned log is mid-group-commit: the pending commit's fsync
+			// must land on this handle, so it is exempt until the commit
+			// releases the pin (always within one sweep).
 			if v.pins > 0 {
 				v.mu.Unlock()
 				e = prev

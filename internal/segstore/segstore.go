@@ -21,13 +21,13 @@
 // so millions of devices streaming forever cost neither millions of
 // descriptors nor unbounded disk.
 //
-// Store.Append matches the stream.Sink interface, so a Store plugs
-// directly into stream.Config.Sink. AppendNoSync and CommitDevices
-// additionally implement stream.DeferredSink — the sweep-level group
-// commit used by the async sink pipeline: a sweep makes one deferred
-// append per device (one write syscall each, fsync withheld), then one
+// Every append is a write followed by a commit. AppendNoSync and
+// CommitDevices implement stream.Sink, so a Store plugs directly into
+// stream.Config.Sink: each sink-writer sweep makes one AppendNoSync per
+// device (one write syscall each, fsync withheld), then one
 // CommitDevices for the whole sweep, so K devices × M batches cost at
-// most K fsyncs under SyncAlways instead of K×M.
+// most K fsyncs under SyncAlways instead of K×M. Append is the same
+// write and commit for one device, in one hold of its lock.
 package segstore
 
 import (
@@ -100,8 +100,9 @@ const (
 	// goroutine every Config.SyncEvery — bounded data loss, near-zero
 	// per-append cost.
 	SyncInterval SyncPolicy = iota
-	// SyncAlways fsyncs after every append (and syncs the directory on
-	// file creation): maximum durability, one fsync per batch.
+	// SyncAlways fsyncs at every commit — once per dirty log per
+	// CommitDevices call, once per Append — and syncs the directory on
+	// file creation: maximum durability.
 	SyncAlways
 	// SyncNever leaves flushing to the OS page cache.
 	SyncNever
@@ -152,8 +153,8 @@ type Config struct {
 	// MaxOpenFiles caps how many device logs hold an open file handle at
 	// once; colder logs are transparently closed and reopened on their
 	// next append. 0 selects DefaultMaxOpenFiles; negative is an error.
-	// The cap may be exceeded transiently while every open log is
-	// mid-operation (see handleLRU).
+	// The cap holds at quiescence; while logs are mid-operation or
+	// pinned by a pending commit it may be exceeded (see handleLRU).
 	MaxOpenFiles int
 	// MaxResidentLogs caps how many device logs keep metadata (file
 	// list, append offset, time index) resident in memory; the coldest
@@ -191,7 +192,7 @@ type Stats struct {
 	Segments   int64 `json:"segments"`    // segments persisted
 	Bytes      int64 `json:"bytes"`       // record bytes written (incl. framing)
 	Syncs      int64 `json:"syncs"`       // explicit fsync calls
-	GroupSyncs int64 `json:"group_syncs"` // fsyncs issued by CommitDevices group commits
+	GroupSyncs int64 `json:"group_syncs"` // fsyncs issued by commits (CommitDevices or Append)
 	Recovered  int64 `json:"truncations"` // torn tails truncated during recovery
 
 	PoisonedLogs      int64 `json:"poisoned_logs"`      // device logs quarantined by a write/fsync failure right now
@@ -311,10 +312,11 @@ type deviceLog struct {
 	wbuf    []byte     //trajlint:guardedby mu
 	wtail   []tailSpan //trajlint:guardedby mu
 
-	// pins counts deferred appends awaiting CommitDevices. A pinned log's
-	// handle is exempt from the MaxOpenFiles LRU (and its metadata from
-	// the resident-log LRU), so the fsync the commit owes lands on the
-	// same open file the appends wrote to.
+	// pins counts writes awaiting their commit (CommitDevices, or the
+	// commit step inside Append). A pinned log's handle is exempt from
+	// the MaxOpenFiles LRU (and its metadata from the resident-log LRU),
+	// so the fsync the commit owes lands on the same open file the
+	// writes went to.
 	pins int //trajlint:guardedby mu
 
 	// readPins counts live read snapshots per file (by seq). A pinned
@@ -821,27 +823,37 @@ func (l *deviceLog) rotate(s *Store) error {
 	return nil
 }
 
-// Append persists one batch of finalized segments for device. Batches
-// larger than recordChunk split into multiple records. The write is
-// crash-consistent: a torn append is truncated away on the next open,
-// never replayed as garbage. Append matches stream.Sink.
+// Append persists one batch of finalized segments for device: the write
+// AppendNoSync does plus the commit step of CommitDevices, in one hold
+// of the device lock, so no concurrent same-device rotation can poison
+// the log in between and Append never acknowledges bytes whose commit
+// fsync failed. Batches larger than recordChunk split into multiple
+// records; a torn append is truncated away on the next open, never
+// replayed as garbage.
 func (s *Store) Append(device string, segs []traj.Segment) error {
-	return s.append(device, segs, false)
+	if len(segs) == 0 {
+		return nil
+	}
+	l, err := s.lockLog(device)
+	if err != nil {
+		return err
+	}
+	unpinned := false
+	if err = s.appendLocked(l, segs); err == nil {
+		unpinned, err = s.commitLocked(l)
+	}
+	l.mu.Unlock()
+	if unpinned {
+		s.trimHandles(nil)
+	}
+	return err
 }
 
-// AppendNoSync is Append with durability deferred: under SyncAlways the
-// per-append fsync is withheld and the log is left dirty and pinned —
-// its handle exempt from the LRUs — until a CommitDevices call settles
-// it. The bytes written are identical to Append's (same records, same
-// torn-tail recovery), so the only thing at risk before the commit is
-// the fsync. Under SyncInterval/SyncNever the pair behaves exactly like
-// Append: the background flusher or the OS owns durability either way.
-// This is the group-commit half of stream.DeferredSink.
+// AppendNoSync writes the same bytes as Append but leaves the log dirty
+// and pinned — its handle exempt from the LRUs — until a CommitDevices
+// call settles it, so the only thing at risk before the commit is the
+// fsync. The pair is the stream.Sink the engine's sink writers drive.
 func (s *Store) AppendNoSync(device string, segs []traj.Segment) error {
-	return s.append(device, segs, true)
-}
-
-func (s *Store) append(device string, segs []traj.Segment, deferSync bool) error {
 	if len(segs) == 0 {
 		return nil
 	}
@@ -850,6 +862,14 @@ func (s *Store) append(device string, segs []traj.Segment, deferSync bool) error
 		return err
 	}
 	defer l.mu.Unlock()
+	return s.appendLocked(l, segs)
+}
+
+// appendLocked writes segs to l's log and, on success, leaves it dirty
+// with one more pin for a commit to release. Caller holds l.mu.
+//
+//trajlint:holds l.mu
+func (s *Store) appendLocked(l *deviceLog, segs []traj.Segment) error {
 	// Re-check under the log lock: Close closes file handles under it, so
 	// an append that got its log before Close must not reopen files (or
 	// write unsynced data) behind a closed store.
@@ -876,6 +896,7 @@ func (s *Store) append(device string, segs []traj.Segment, deferSync bool) error
 	// that a crash mid-write tears at most one truncatable tail. Index
 	// entries for buffered records are staged in pend and applied only
 	// once their bytes are on disk.
+	device := l.device
 	var written int64
 	wall := s.nowMs()
 	wbuf, pend := l.wbuf[:0], l.wtail[:0]
@@ -952,22 +973,8 @@ func (s *Store) append(device string, segs []traj.Segment, deferSync bool) error
 	if err := flush(); err != nil {
 		return err
 	}
-	switch {
-	case deferSync:
-		l.dirty = true
-		l.pins++
-	case s.cfg.Sync == SyncAlways:
-		if err := l.f.Sync(); err != nil {
-			// The bytes are written but not durable, and a failed fsync must
-			// never be retried on the same descriptor (the kernel may have
-			// dropped the dirty pages): quarantine, do not acknowledge.
-			return s.poisonLocked(l, fmt.Errorf("segstore: append %s: sync: %w", device, err))
-		}
-		s.syncs.Add(1)
-		l.dirty = false // earlier deferred writes are now durable too
-	default:
-		l.dirty = true
-	}
+	l.dirty = true
+	l.pins++
 	s.appends.Add(1)
 	s.segments.Add(int64(len(segs)))
 	s.bytes.Add(written)
@@ -985,43 +992,58 @@ func (s *Store) append(device string, segs []traj.Segment, deferSync bool) error
 func (s *Store) CommitDevices(devices []string) error {
 	var first error
 	for _, dev := range devices {
-		if err := s.commitDevice(dev); err != nil && first == nil {
+		s.mu.Lock()
+		l := s.logs[dev]
+		s.mu.Unlock()
+		if l == nil {
+			continue
+		}
+		l.mu.Lock()
+		unpinned, err := s.commitLocked(l)
+		l.mu.Unlock()
+		if unpinned {
+			// Trim only after releasing l.mu: the trim must be able to close
+			// l itself, and two concurrent commits trimming under their own
+			// locks could each skip the other's log and leave the cap
+			// exceeded.
+			s.trimHandles(nil)
+		}
+		if err != nil && first == nil {
 			first = err
 		}
 	}
 	return first
 }
 
-func (s *Store) commitDevice(device string) error {
-	s.mu.Lock()
-	l := s.logs[device]
-	s.mu.Unlock()
-	if l == nil {
-		return nil
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
+// commitLocked is the commit step: it releases one pin on l and, under
+// SyncAlways, fsyncs the log if it holds unsynced bytes. It reports
+// whether that was l's last pin — the handle LRU skips pinned logs, so
+// the caller trims it once l.mu is released. Caller holds l.mu.
+//
+//trajlint:holds l.mu
+func (s *Store) commitLocked(l *deviceLog) (unpinned bool, err error) {
 	if l.pins > 0 {
 		l.pins--
+		unpinned = l.pins == 0
 	}
 	// Nothing to sync: a poisoned log already surfaced its failure through
 	// the append, an evicted instance holds no deferred state (pinned logs
 	// are LRU-exempt), and a nil handle means Close or rotation already
 	// made the bytes durable.
 	if l.failed != nil || l.evicted || s.cfg.Sync != SyncAlways || !l.dirty || l.f == nil {
-		return nil
+		return unpinned, nil
 	}
 	if err := l.f.Sync(); err != nil {
 		// A failed fsync must not be retried as if nothing happened — the
 		// kernel may have dropped the dirty pages. Quarantine the log so
 		// the next append surfaces the durability loss instead of
 		// extending an unflushed file.
-		return s.poisonLocked(l, fmt.Errorf("segstore: group commit %s: %w", device, err))
+		return unpinned, s.poisonLocked(l, fmt.Errorf("segstore: commit %s: %w", l.device, err))
 	}
 	l.dirty = false
 	s.syncs.Add(1)
 	s.groupSyncs.Add(1)
-	return nil
+	return unpinned, nil
 }
 
 // Devices lists every device with a log on disk, sorted. Stray entries

@@ -25,7 +25,7 @@ import (
 //     queue is nearly full the disk is already behind, so opening more
 //     sessions only deepens the backlog. New devices are rejected with
 //     a RetryAfter derived from the queue's measured drain rate;
-//     existing sessions keep flowing under the SinkFull policy.
+//     existing sessions keep flowing until the queue is full.
 //
 // Everything here is inert when unconfigured: the checks sit behind
 // Config-field guards, so the default ingest path pays nothing.

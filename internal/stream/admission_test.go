@@ -175,18 +175,21 @@ func TestShedDisabledKeepsSessionLimit(t *testing.T) {
 	}
 }
 
-// stallSink blocks every Append until release is closed, signalling
-// each entry — a disk that has stopped answering, visible to the test.
+// stallSink blocks every AppendNoSync until release is closed,
+// signalling each entry — a disk that has stopped answering, visible to
+// the test.
 type stallSink struct {
 	entered chan struct{}
 	release chan struct{}
 }
 
-func (s *stallSink) Append(device string, segs []traj.Segment) error {
+func (s *stallSink) AppendNoSync(device string, segs []traj.Segment) error {
 	s.entered <- struct{}{}
 	<-s.release
 	return nil
 }
+
+func (s *stallSink) CommitDevices([]string) error { return nil }
 
 // TestQueueWatermarkRejectsNewDevices: with the sink wedged and the
 // queue past its watermark, a new device is rejected with ErrOverloaded
@@ -248,6 +251,54 @@ func TestQueueWatermarkRejectsNewDevices(t *testing.T) {
 	}
 	if e.Overloaded() {
 		t.Error("Engine.Overloaded() = true after the queue drained")
+	}
+}
+
+// TestRetryAfterBeforeFirstSample: until a drain-rate sample of at
+// least 50 ms completes the rate is unknown, not zero, so the first
+// watermark rejection advises the minimum delay; once a sample has
+// measured a wedged sink (nothing drained), the advice is the maximum.
+func TestRetryAfterBeforeFirstSample(t *testing.T) {
+	clock := time.Unix(1000, 0)
+	var mu sync.Mutex
+	now := func() time.Time { mu.Lock(); defer mu.Unlock(); return clock }
+	advance := func(d time.Duration) { mu.Lock(); clock = clock.Add(d); mu.Unlock() }
+
+	sink := &stallSink{entered: make(chan struct{}, 64), release: make(chan struct{})}
+	e, err := NewEngine(Config{
+		Zeta: 5, Sink: sink, SinkWriters: 1, SinkQueue: 8, QueueWatermark: 0.25, Clock: now,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	defer close(sink.release)
+
+	// Wedge the single worker, then queue past the watermark.
+	if _, err := e.Ingest("live", zig(0, 4)); err != nil {
+		t.Fatal(err)
+	}
+	<-sink.entered
+	for i := int64(1); e.q.depth.Load() < 4; i++ {
+		if _, err := e.Ingest("live", zig(i*100_000, 4)); err != nil {
+			t.Fatalf("existing device past watermark: %v", err)
+		}
+	}
+	retryAfter := func() time.Duration {
+		t.Helper()
+		_, err := e.Ingest("newcomer", zig(0, 4))
+		var oe *OverloadError
+		if !errors.As(err, &oe) {
+			t.Fatalf("new device past watermark: %v, want *OverloadError", err)
+		}
+		return oe.RetryAfter
+	}
+	if got := retryAfter(); got != minRetryAfter {
+		t.Errorf("first rejection advises %v, want %v (no drain-rate sample yet)", got, minRetryAfter)
+	}
+	advance(60 * time.Millisecond)
+	if got := retryAfter(); got != maxRetryAfter {
+		t.Errorf("after 60 ms with nothing drained the advice is %v, want %v", got, maxRetryAfter)
 	}
 }
 

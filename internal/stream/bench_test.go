@@ -87,92 +87,77 @@ func BenchmarkIngestSingleSession(b *testing.B) {
 }
 
 // BenchmarkIngestWithSink is the end-to-end ingest path over a real
-// segment store with the strictest durability policy (fsync per append)
-// — the workload the async sink pipeline exists for. The async and sync
-// sub-benchmarks run in the same process against the same store config,
-// so their points/s are directly comparable: sync pays the fsync inside
-// the shard lock on every emitting batch; async hands off a memcpy and
-// lets the writers group-commit the backlog — the devices=8 pair is the
-// sweep-commit headline, where K devices × M batches settle in at most K
-// fsyncs per sweep. fsyncs/batch is measured over the whole run
-// including the drain, so it counts every fsync the durability policy
-// actually paid.
+// segment store with the strictest durability policy (fsync at every
+// commit) — the workload the async sink pipeline exists for. Ingest
+// hands off a memcpy and the writers group-commit the backlog; the
+// devices=8 case is the sweep-commit headline, where K devices × M
+// batches settle in at most K fsyncs per sweep. fsyncs/batch is
+// measured over the whole run including the drain, so it counts every
+// fsync the durability policy actually paid.
 //
 //	go test ./internal/stream -bench=IngestWithSink -benchtime=2s
 func BenchmarkIngestWithSink(b *testing.B) {
 	const batch = 64
 	tr := gen.One(gen.Truck, 4096, 11)
 	for _, devices := range []int{1, 8} {
-		for _, mode := range []struct {
-			name string
-			sync bool
-		}{{"async", false}, {"sync", true}} {
-			b.Run(fmt.Sprintf("devices=%d/%s", devices, mode.name), func(b *testing.B) {
-				b.ReportAllocs()
-				store, err := segstore.Open(segstore.Config{Dir: b.TempDir(), Sync: segstore.SyncAlways})
-				if err != nil {
-					b.Fatal(err)
+		b.Run(fmt.Sprintf("devices=%d", devices), func(b *testing.B) {
+			b.ReportAllocs()
+			store, err := segstore.Open(segstore.Config{Dir: b.TempDir(), Sync: segstore.SyncAlways})
+			if err != nil {
+				b.Fatal(err)
+			}
+			e, err := NewEngine(Config{Zeta: 5, Shards: 8, Sink: store})
+			if err != nil {
+				b.Fatal(err)
+			}
+			var wg sync.WaitGroup
+			errc := make(chan error, devices)
+			b.ResetTimer()
+			for d := 0; d < devices; d++ {
+				n := b.N / devices
+				if d < b.N%devices {
+					n++
 				}
-				e, err := NewEngine(Config{Zeta: 5, Shards: 8, Sink: store, SinkSync: mode.sync})
-				if err != nil {
-					b.Fatal(err)
-				}
-				var wg sync.WaitGroup
-				errc := make(chan error, devices)
-				b.ResetTimer()
-				for d := 0; d < devices; d++ {
-					n := b.N / devices
-					if d < b.N%devices {
-						n++
-					}
-					wg.Add(1)
-					go func(d, n int) {
-						defer wg.Done()
-						dev := fmt.Sprintf("dev-%d", d)
-						off := 0
-						for i := 0; i < n; i++ {
-							if off+batch > len(tr) {
-								e.Flush(dev)
-								off = 0
-							}
-							if _, err := e.Ingest(dev, tr[off:off+batch]); err != nil {
-								select {
-								case errc <- err:
-								default:
-								}
-								return
-							}
-							off += batch
+				wg.Add(1)
+				go func(d, n int) {
+					defer wg.Done()
+					dev := fmt.Sprintf("dev-%d", d)
+					off := 0
+					for i := 0; i < n; i++ {
+						if off+batch > len(tr) {
+							e.Flush(dev)
+							off = 0
 						}
-					}(d, n)
-				}
-				wg.Wait()
-				b.StopTimer()
-				select {
-				case err := <-errc:
-					b.Fatal(err)
-				default:
-				}
-				b.ReportMetric(float64(e.Stats().Points)/b.Elapsed().Seconds(), "points/s")
-				e.Close() // drain: every enqueued batch reaches the store
-				st := e.Stats()
-				sst := store.Stats()
-				// Appended ingest batches: the sync path appends each batch
-				// individually; the sweep path folds them, and SinkSweepBatches
-				// says how many folded in.
-				batches := float64(st.SinkAppends)
-				if !mode.sync {
-					batches = float64(st.SinkSweepBatches)
-				}
-				if batches > 0 {
-					b.ReportMetric(float64(sst.Syncs)/batches, "fsyncs/batch")
-				}
-				if sst.Segments == 0 && b.N > 20 {
-					b.Fatalf("sink saw no segments: %+v", sst)
-				}
-				store.Close()
-			})
-		}
+						if _, err := e.Ingest(dev, tr[off:off+batch]); err != nil {
+							select {
+							case errc <- err:
+							default:
+							}
+							return
+						}
+						off += batch
+					}
+				}(d, n)
+			}
+			wg.Wait()
+			b.StopTimer()
+			select {
+			case err := <-errc:
+				b.Fatal(err)
+			default:
+			}
+			b.ReportMetric(float64(e.Stats().Points)/b.Elapsed().Seconds(), "points/s")
+			e.Close() // drain: every enqueued batch reaches the store
+			// Sweeps fold ingest batches; SinkSweepBatches says how many
+			// folded into persisted payloads.
+			if batches := float64(e.Stats().SinkSweepBatches); batches > 0 {
+				b.ReportMetric(float64(store.Stats().Syncs)/batches, "fsyncs/batch")
+			}
+			if sst := store.Stats(); sst.Segments == 0 && b.N > 20 {
+				b.Fatalf("sink saw no segments: %+v", sst)
+			}
+			store.Close()
+		})
 	}
 }
 

@@ -25,47 +25,44 @@ func (h *hookRecorder) hook(device string, segs []traj.Segment) {
 	h.segs[device] = append(h.segs[device], segs...)
 }
 
-// TestOnSinkSeesEveryPersistedBatch: across both sink paths (async queue
-// and SinkSync), the hook observes exactly what the sink accepted —
-// same devices, same segments, same order — and Stats counts the
-// appends.
+// TestOnSinkSeesEveryPersistedBatch: the hook observes exactly what the
+// sink accepted — same devices, same segments, same order — and Stats
+// counts the appends.
 func TestOnSinkSeesEveryPersistedBatch(t *testing.T) {
-	for _, sync := range []bool{false, true} {
-		sink := &memSink{}
-		rec := &hookRecorder{}
-		e, err := NewEngine(Config{Zeta: 30, Shards: 4, Sink: sink, SinkSync: sync, OnSink: rec.hook})
-		if err != nil {
+	sink := &memSink{}
+	rec := &hookRecorder{}
+	e, err := NewEngine(Config{Zeta: 30, Shards: 4, Sink: sink, OnSink: rec.hook})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for dev, preset := range map[string]gen.Preset{"a": gen.Taxi, "b": gen.Truck} {
+		if _, err := e.Ingest(dev, gen.One(preset, 600, 71)); err != nil {
 			t.Fatal(err)
 		}
-		for dev, preset := range map[string]gen.Preset{"a": gen.Taxi, "b": gen.Truck} {
-			if _, err := e.Ingest(dev, gen.One(preset, 600, 71)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		e.Close() // drains the queue; hooks have all fired
+	}
+	e.Close() // drains the queue; hooks have all fired
 
-		if len(rec.segs) != len(sink.segs) {
-			t.Fatalf("sync=%v: hook saw devices %v, sink holds %v", sync, rec.segs, sink.segs)
+	if len(rec.segs) != len(sink.segs) {
+		t.Fatalf("hook saw devices %v, sink holds %v", rec.segs, sink.segs)
+	}
+	total := 0
+	for dev, want := range sink.segs {
+		got := rec.segs[dev]
+		if len(got) != len(want) {
+			t.Fatalf("%s: hook saw %d segments, sink holds %d", dev, len(got), len(want))
 		}
-		total := 0
-		for dev, want := range sink.segs {
-			got := rec.segs[dev]
-			if len(got) != len(want) {
-				t.Fatalf("sync=%v: %s: hook saw %d segments, sink holds %d", sync, dev, len(got), len(want))
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: segment %d differs — the hook's copy is not what was persisted", dev, i)
 			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("sync=%v: %s: segment %d differs — the hook's copy is not what was persisted", sync, dev, i)
-				}
-			}
-			total += len(want)
 		}
-		if total == 0 {
-			t.Fatalf("sync=%v: nothing reached the sink — test proves nothing", sync)
-		}
-		if st := e.Stats(); st.SinkAppends != int64(sink.batches) || st.SinkAppends == 0 {
-			t.Fatalf("sync=%v: SinkAppends %d, sink counted %d batches", sync, st.SinkAppends, sink.batches)
-		}
+		total += len(want)
+	}
+	if total == 0 {
+		t.Fatal("nothing reached the sink — test proves nothing")
+	}
+	if st := e.Stats(); st.SinkAppends != int64(sink.batches) || st.SinkAppends == 0 {
+		t.Fatalf("SinkAppends %d, sink counted %d batches", st.SinkAppends, sink.batches)
 	}
 }
 

@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"fmt"
 	"log"
 	"sync"
 	"sync/atomic"
@@ -12,76 +11,34 @@ import (
 
 // The async sink pipeline: finalized segment batches are handed off
 // under the shard lock to a bounded queue sharded by device hash, and N
-// writer goroutines drain it, calling the real Sink outside any ingest
-// lock. The paper's encoder processes a point in nanoseconds (§4); a
-// sink append is a disk write — potentially an fsync under SyncAlways —
-// so calling it inside the ingest critical section gates every device on
+// writer goroutines drain it, calling the Sink outside any ingest lock.
+// The paper's encoder processes a point in nanoseconds (§4); a sink
+// append is a disk write — potentially an fsync under SyncAlways — so
+// calling it inside the ingest critical section gates every device on
 // a shard by storage latency. With the queue, the critical section ends
 // at a memcpy.
 //
 // Draining is sweep-level group commit: a worker takes everything
 // immediately available on its channel (bounded by Config.SinkSweep
 // segments) into one sweep, partitions it by device, writes each
-// device's merged share with one append, and — when the Sink supports
-// DeferredSink — settles the whole sweep with one CommitDevices call:
-// one fsync per dirty file per sweep, so under SyncAlways a backlog of
-// K devices × M batches costs at most K fsyncs instead of K×M. The old
-// behavior (fold only consecutive same-device batches, sync each) is
-// what this replaces.
+// device's merged share with one AppendNoSync, and settles the whole
+// sweep with one CommitDevices call: one fsync per dirty file per
+// sweep, so under SyncAlways a backlog of K devices × M batches costs at
+// most K fsyncs instead of K×M.
 //
 // Ordering: one device always maps to one writer (FNV-1a hash), and
 // every enqueue for a device happens under that device's shard lock, so
 // a device's ops sit in a single FIFO in emission order; the sweep
 // partition preserves that arrival order inside each device's merged
-// payload — the property the segment log's replay (and PR 2's
-// restart-identity test) depends on. Cross-device order is unspecified,
-// exactly as it was under the synchronous path where shards raced to
-// the sink.
+// payload — the property the segment log's replay (and the
+// restart-identity tests) depends on. Cross-device order is unspecified.
 //
-// Backpressure: a full queue either blocks the producer (SinkBlock —
-// ingest slows to storage speed, nothing is lost) or drops the batch
-// (SinkDrop — ingest never stalls, the gap is counted, and the in-memory
-// result the caller already received is unaffected). Session handoffs
-// from Flush/FlushAll/EvictIdle/Close always block: callers rely on
-// those segments reaching the sink before the call returns — their
-// waits are signalled only after the sweep's commit.
-
-// SinkFullPolicy selects what a full sink queue does with an ingest-path
-// batch.
-type SinkFullPolicy int
-
-const (
-	// SinkBlock (the default) blocks the ingest until the queue has
-	// room: durability — acknowledged segments always reach the sink,
-	// and a slow disk is felt as ingest latency.
-	SinkBlock SinkFullPolicy = iota
-	// SinkDrop drops the batch and counts it: availability — ingest
-	// never waits for storage, at the cost of gaps in the persisted log
-	// (Stats.SinkDropped / SinkDroppedSegs say how many).
-	SinkDrop
-)
-
-// String implements fmt.Stringer (and flag.Value's read side).
-func (p SinkFullPolicy) String() string {
-	switch p {
-	case SinkBlock:
-		return "block"
-	case SinkDrop:
-		return "drop"
-	}
-	return fmt.Sprintf("SinkFullPolicy(%d)", int(p))
-}
-
-// ParseSinkFullPolicy parses "block" or "drop".
-func ParseSinkFullPolicy(s string) (SinkFullPolicy, error) {
-	switch s {
-	case "block":
-		return SinkBlock, nil
-	case "drop":
-		return SinkDrop, nil
-	}
-	return 0, fmt.Errorf("stream: unknown sink-full policy %q (block, drop)", s)
-}
+// Backpressure: a full queue blocks the producer — ingest slows to
+// storage speed and nothing acknowledged is lost. Before that point,
+// Config.QueueWatermark turns new devices away with a Retry-After.
+// Session handoffs from Flush/FlushAll/EvictIdle/Close block the same
+// way; callers rely on those segments reaching the sink before the call
+// returns — their waits are signalled only after the sweep's commit.
 
 const (
 	// DefaultSinkWriters is the writer-goroutine count when
@@ -130,11 +87,9 @@ type sinkOp struct {
 }
 
 // sinkQueue is the bounded, device-ordered pipeline between the engine's
-// shard locks and the real Sink.
+// shard locks and the Sink.
 type sinkQueue struct {
 	sink      Sink
-	def       DeferredSink // sink's group-commit face; nil if unsupported
-	policy    SinkFullPolicy
 	sweepSegs int
 	watermark int64 // queued-op count that counts as overload; 0 disables
 	now       func() time.Time
@@ -147,9 +102,10 @@ type sinkQueue struct {
 	// the last sample into a smoothed ops/sec rate.
 	drained atomic.Int64
 	rateMu  sync.Mutex
-	rateAt  time.Time //trajlint:guardedby rateMu -- last sample time; zero until the first sample
+	rateAt  time.Time //trajlint:guardedby rateMu -- last sample time; zero until the first call
 	rateN   int64     //trajlint:guardedby rateMu -- drained count at the last sample
 	rate    float64   //trajlint:guardedby rateMu -- EWMA drain rate, ops/sec
+	sampled bool      //trajlint:guardedby rateMu -- rate holds a measurement
 
 	// stopMu serializes enqueues against close: producers hold the read
 	// side for the duration of a send, so close can wait out in-flight
@@ -160,41 +116,34 @@ type sinkQueue struct {
 
 	depth   atomic.Int64 // ops queued right now, across workers
 	blocked atomic.Int64 // enqueues that found the queue full and waited
-	dropped atomic.Int64 // batches dropped under SinkDrop
-	dropSeg atomic.Int64 // segments inside those batches
 
 	sweeps       atomic.Int64 // sweeps that appended at least one device
 	sweepBatches atomic.Int64 // ingest batches folded into persisted sweep shares
+	apps         atomic.Int64 // merged payloads the Sink accepted (Stats.SinkAppends)
+	errs         atomic.Int64 // merged payloads lost to a failed append or commit
+	errSegs      atomic.Int64 // segments inside those payloads
 
-	errs    *atomic.Int64 // the engine's SinkErrors counter
-	errSegs *atomic.Int64 // the engine's SinkErrorSegs counter
-	apps    *atomic.Int64 // the engine's SinkAppends counter
-	onSink  func(device string, segs []traj.Segment)
+	onSink func(device string, segs []traj.Segment)
 }
 
-func newSinkQueue(sink Sink, writers, queue, sweep int, policy SinkFullPolicy,
-	watermark float64, now func() time.Time,
-	errs, errSegs, apps *atomic.Int64, onSink func(string, []traj.Segment)) *sinkQueue {
+// newSinkQueue starts the pipeline for cfg.Sink, sized by cfg's Sink*
+// fields (defaults already resolved) and cfg.QueueWatermark.
+func newSinkQueue(cfg Config, now func() time.Time) *sinkQueue {
 	q := &sinkQueue{
-		sink:      sink,
-		policy:    policy,
-		sweepSegs: sweep,
+		sink:      cfg.Sink,
+		sweepSegs: cfg.SinkSweep,
 		now:       now,
-		workers:   make([]chan sinkOp, writers),
-		errs:      errs,
-		errSegs:   errSegs,
-		apps:      apps,
-		onSink:    onSink,
+		workers:   make([]chan sinkOp, cfg.SinkWriters),
+		onSink:    cfg.OnSink,
 	}
-	if watermark > 0 {
+	if cfg.QueueWatermark > 0 {
 		// At least 1: a positive watermark must be able to fire even on
 		// a tiny queue.
-		q.watermark = max(1, int64(watermark*float64(writers*queue)))
+		q.watermark = max(1, int64(cfg.QueueWatermark*float64(cfg.SinkWriters*cfg.SinkQueue)))
 	}
-	q.def, _ = sink.(DeferredSink)
 	q.pool.New = func() any { return &segBatch{} }
 	for i := range q.workers {
-		q.workers[i] = make(chan sinkOp, queue)
+		q.workers[i] = make(chan sinkOp, cfg.SinkQueue)
 		q.wg.Add(1)
 		go q.run(q.workers[i])
 	}
@@ -321,32 +270,22 @@ func (sw *sweep) add(op sinkOp) {
 	}
 }
 
-// flush writes the sweep — one merged append per device, then one group
-// commit settling every device's fsync — and only then signals handoff
-// waits and barriers.
+// flush writes the sweep — one merged AppendNoSync per device, then one
+// CommitDevices settling every device's fsync — and only then signals
+// handoff waits and barriers.
 func (sw *sweep) flush() {
 	q := sw.q
-	appended := false
+	sw.commit = sw.commit[:0]
 	for _, ds := range sw.devs {
 		if len(ds.segs) == 0 {
 			continue
 		}
-		appended = true
-		if q.def != nil {
-			ds.err = q.def.AppendNoSync(ds.device, ds.segs)
-		} else {
-			ds.err = q.sink.Append(ds.device, ds.segs)
-		}
+		ds.err = q.sink.AppendNoSync(ds.device, ds.segs)
+		sw.commit = append(sw.commit, ds.device)
 	}
 	var commitErr error
-	if q.def != nil && appended {
-		sw.commit = sw.commit[:0]
-		for _, ds := range sw.devs {
-			sw.commit = append(sw.commit, ds.device)
-		}
-		commitErr = q.def.CommitDevices(sw.commit)
-	}
-	if appended {
+	if len(sw.commit) > 0 {
+		commitErr = q.sink.CommitDevices(sw.commit)
 		q.sweeps.Add(1)
 	}
 	for _, ds := range sw.devs {
@@ -432,23 +371,7 @@ func (q *sinkQueue) putBatch(device string, segs []traj.Segment) {
 	}
 	b := q.pool.Get().(*segBatch)
 	b.segs = append(b.segs[:0], segs...)
-	op := sinkOp{device: device, batch: b}
-	ch := q.worker(device)
-	q.depth.Add(1)
-	select {
-	case ch <- op:
-		return
-	default:
-	}
-	if q.policy == SinkDrop {
-		q.depth.Add(-1)
-		q.dropped.Add(1)
-		q.dropSeg.Add(int64(len(segs)))
-		q.recycle(b)
-		return
-	}
-	q.blocked.Add(1)
-	ch <- op
+	q.send(sinkOp{device: device, batch: b})
 }
 
 // putFinish enqueues a session handoff: the worker finishes the session
@@ -456,7 +379,7 @@ func (q *sinkQueue) putBatch(device string, segs []traj.Segment) {
 // to the sink, then fills res. Called under the device's shard lock —
 // right after the session leaves the map — so the tail lands after every
 // batch the session emitted and before anything a successor session
-// emits. Handoffs always block: they carry a caller waiting on res.
+// emits.
 func (q *sinkQueue) putFinish(device string, s *session, res *finishWait) {
 	q.stopMu.RLock()
 	defer q.stopMu.RUnlock()
@@ -467,15 +390,21 @@ func (q *sinkQueue) putFinish(device string, s *session, res *finishWait) {
 		res.wg.Done()
 		return
 	}
-	ch := q.worker(device)
+	q.send(sinkOp{device: device, sess: s, res: res})
+}
+
+// send enqueues op on its device's worker, blocking — and counting the
+// wait in blocked — while that queue is full. Caller holds stopMu's
+// read side.
+func (q *sinkQueue) send(op sinkOp) {
+	ch := q.worker(op.device)
 	q.depth.Add(1)
 	select {
-	case ch <- sinkOp{device: device, sess: s, res: res}:
-		return
+	case ch <- op:
 	default:
+		q.blocked.Add(1)
+		ch <- op
 	}
-	q.blocked.Add(1)
-	ch <- sinkOp{device: device, sess: s, res: res}
 }
 
 // drain blocks until every op enqueued before the call has been handed
@@ -515,10 +444,12 @@ func (q *sinkQueue) overloaded() bool {
 // retryAfter estimates how long until the current backlog has drained:
 // depth over a smoothed drain rate, clamped to [minRetryAfter,
 // maxRetryAfter]. The rate is sampled on demand — growth of the drained
-// counter since the last call, folded into an EWMA so one burst or lull
-// between calls doesn't swing the advice — and a rate of zero (nothing
-// drained yet, or a wedged sink) yields the maximum: the honest answer
-// when the disk may not be coming back soon.
+// counter over at least 50 ms since the last sample, folded into an
+// EWMA so one burst or lull between calls doesn't swing the advice.
+// Until the first sample completes the rate is unknown, not zero, and
+// the advice is the minimum: retry soon, by when the rate is measured.
+// A measured rate of zero (a wedged sink) yields the maximum: the
+// honest answer when the disk may not be coming back soon.
 func (q *sinkQueue) retryAfter() time.Duration {
 	depth := q.depth.Load()
 	q.rateMu.Lock()
@@ -528,15 +459,18 @@ func (q *sinkQueue) retryAfter() time.Duration {
 		q.rateAt, q.rateN = now, n
 	} else if dt := now.Sub(q.rateAt); dt >= 50*time.Millisecond {
 		inst := float64(n-q.rateN) / dt.Seconds()
-		if q.rate == 0 {
-			q.rate = inst
+		if !q.sampled {
+			q.rate, q.sampled = inst, true
 		} else {
 			q.rate = 0.5*q.rate + 0.5*inst
 		}
 		q.rateAt, q.rateN = now, n
 	}
-	rate := q.rate
+	rate, sampled := q.rate, q.sampled
 	q.rateMu.Unlock()
+	if !sampled {
+		return minRetryAfter
+	}
 	if rate <= 0 {
 		return maxRetryAfter
 	}

@@ -2,7 +2,6 @@ package stream
 
 import (
 	"errors"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -11,16 +10,16 @@ import (
 	"trajsim/internal/traj"
 )
 
-// gateSink is a memSink whose Append blocks until the gate channel
-// yields (or is closed), simulating a stalled disk.
+// gateSink is a memSink whose AppendNoSync blocks until the gate
+// channel yields (or is closed), simulating a stalled disk.
 type gateSink struct {
 	memSink
 	gate chan struct{}
 }
 
-func (g *gateSink) Append(device string, segs []traj.Segment) error {
+func (g *gateSink) AppendNoSync(device string, segs []traj.Segment) error {
 	<-g.gate
-	return g.memSink.Append(device, segs)
+	return g.memSink.AppendNoSync(device, segs)
 }
 
 // ingestBatches pushes tr through the engine in batches and returns the
@@ -49,29 +48,6 @@ func ingestEmitting(t *testing.T, e *Engine, dev string, tr traj.Trajectory, bat
 	return emitted
 }
 
-// TestSinkPolicyStrings pins the flag spellings of the full-queue
-// policies.
-func TestSinkPolicyStrings(t *testing.T) {
-	for _, tc := range []struct {
-		s string
-		p SinkFullPolicy
-	}{{"block", SinkBlock}, {"drop", SinkDrop}} {
-		got, err := ParseSinkFullPolicy(tc.s)
-		if err != nil || got != tc.p {
-			t.Errorf("ParseSinkFullPolicy(%q) = %v, %v", tc.s, got, err)
-		}
-		if tc.p.String() != tc.s {
-			t.Errorf("%v.String() = %q, want %q", tc.p, tc.p.String(), tc.s)
-		}
-	}
-	if _, err := ParseSinkFullPolicy("flush"); err == nil {
-		t.Error("ParseSinkFullPolicy accepted garbage")
-	}
-	if s := SinkFullPolicy(9).String(); !strings.Contains(s, "9") {
-		t.Errorf("unknown policy String() = %q", s)
-	}
-}
-
 // TestSinkConfigValidation: negative queue knobs are construction-time
 // errors, not latent panics.
 func TestSinkConfigValidation(t *testing.T) {
@@ -80,9 +56,6 @@ func TestSinkConfigValidation(t *testing.T) {
 	}
 	if _, err := NewEngine(Config{Zeta: 10, SinkQueue: -4}); err == nil {
 		t.Error("negative SinkQueue accepted")
-	}
-	if _, err := NewEngine(Config{Zeta: 10, SinkFull: SinkFullPolicy(7)}); err == nil {
-		t.Error("unknown SinkFull policy accepted")
 	}
 }
 
@@ -109,14 +82,14 @@ func TestIngestNotBlockedBySlowSink(t *testing.T) {
 	if got := sink.len("dev"); got != emitted+len(tails["dev"]) {
 		t.Errorf("sink holds %d segments after Close, want %d", got, emitted+len(tails["dev"]))
 	}
-	if st := e.Stats(); st.SinkDropped != 0 || st.SinkQueued != 0 {
-		t.Errorf("block policy dropped batches or left queue depth: %+v", st)
+	if st := e.Stats(); st.SinkQueued != 0 {
+		t.Errorf("Close left queue depth: %+v", st)
 	}
 }
 
-// TestSinkBlockPolicyLosesNothing: a queue much smaller than the backlog
-// plus a stalling sink must count blocked enqueues and still deliver
-// every segment.
+// TestSinkBlockPolicyLosesNothing: a full queue blocks the producer — a
+// queue much smaller than the backlog plus a stalling sink must count
+// blocked enqueues and still deliver every segment.
 func TestSinkBlockPolicyLosesNothing(t *testing.T) {
 	sink := &gateSink{gate: make(chan struct{})}
 	e, err := NewEngine(Config{Zeta: 5, Sink: sink, SinkWriters: 1, SinkQueue: 1})
@@ -153,51 +126,8 @@ func TestSinkBlockPolicyLosesNothing(t *testing.T) {
 	if got := sink.len("dev"); got != emitted+len(tails["dev"]) {
 		t.Errorf("sink holds %d segments, want %d", got, emitted+len(tails["dev"]))
 	}
-	st := e.Stats()
-	if st.SinkDropped != 0 {
-		t.Errorf("block policy dropped %d batches", st.SinkDropped)
-	}
-	if st.SinkBlocked == 0 {
+	if st := e.Stats(); st.SinkBlocked == 0 {
 		t.Errorf("no blocked enqueues recorded against a size-1 queue: %+v", st)
-	}
-}
-
-// TestSinkDropPolicySheds: under SinkDrop a full queue sheds ingest-path
-// batches — counted, not blocking — while flush tails still always land.
-func TestSinkDropPolicySheds(t *testing.T) {
-	sink := &gateSink{gate: make(chan struct{})}
-	e, err := NewEngine(Config{
-		Zeta: 5, Sink: sink, SinkWriters: 1, SinkQueue: 1, SinkFull: SinkDrop,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := gen.One(gen.Taxi, 2000, 35)
-	// Gate shut: the worker parks on the first append, the queue holds
-	// one more op, everything else must drop rather than stall ingest.
-	emitted := ingestEmitting(t, e, "dev", tr, 50)
-	st := e.Stats()
-	if st.SinkDropped == 0 || st.SinkDroppedSegs == 0 {
-		t.Fatalf("nothing dropped against a wedged size-1 queue: %+v", st)
-	}
-	close(sink.gate)
-	tails := e.Close()
-	st = e.Stats()
-	want := emitted + len(tails["dev"]) - int(st.SinkDroppedSegs)
-	if got := sink.len("dev"); got != want {
-		t.Errorf("sink holds %d segments, want %d (%d emitted + %d tail − %d dropped)",
-			got, want, emitted, len(tails["dev"]), st.SinkDroppedSegs)
-	}
-	// The tail was enqueued after the drops, by a blocking handoff: it
-	// must be the suffix of the persisted stream.
-	persisted := sink.copyOf("dev")
-	if len(tails["dev"]) > 0 {
-		tail := persisted[len(persisted)-len(tails["dev"]):]
-		for i, s := range tails["dev"] {
-			if tail[i] != s {
-				t.Fatalf("flush tail segment %d missing from persisted suffix", i)
-			}
-		}
 	}
 }
 
@@ -246,36 +176,6 @@ func TestEvictIdlePersistsBeforeReturn(t *testing.T) {
 		t.Errorf("after EvictIdle the sink holds %d segments, want %d", got, emitted+len(evs[0].Segments))
 	}
 	e.Close()
-}
-
-// TestSinkSyncCompat: SinkSync restores the synchronous path — segments
-// are in the sink the moment Ingest returns, and the queue stats stay
-// zero.
-func TestSinkSyncCompat(t *testing.T) {
-	sink := &memSink{}
-	e, err := NewEngine(Config{Zeta: 5, Sink: sink, SinkSync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := gen.One(gen.Taxi, 1000, 41)
-	emitted := 0
-	for off := 0; off < len(tr); off += 50 {
-		segs, err := e.Ingest("dev", tr[off:off+50])
-		if err != nil {
-			t.Fatal(err)
-		}
-		emitted += len(segs)
-		if got := sink.len("dev"); got != emitted {
-			t.Fatalf("sync sink holds %d segments mid-stream, want %d", got, emitted)
-		}
-	}
-	tails := e.Close()
-	if got := sink.len("dev"); got != emitted+len(tails["dev"]) {
-		t.Errorf("sync sink holds %d segments after Close, want %d", got, emitted+len(tails["dev"]))
-	}
-	if st := e.Stats(); st.SinkQueued+st.SinkBlocked+st.SinkDropped != 0 {
-		t.Errorf("sync mode touched queue stats: %+v", st)
-	}
 }
 
 // TestQueueOrderAcrossSessions: per-device order must survive flushing a

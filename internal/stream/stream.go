@@ -56,38 +56,24 @@ const MaxDevice = 80
 
 // Sink receives every batch of finalized segments the engine emits — the
 // durability tier under the in-memory sessions (segstore.Store implements
-// it). By default Append runs on the engine's sink-writer goroutines,
-// outside every ingest lock; calls for one device still arrive in
-// emission order and never concurrently (a device maps to exactly one
-// writer). Under Config.SinkSync, Append instead runs synchronously with
-// the shard lock held, as in earlier versions. Either way implementations
-// must not call back into the Engine. An Append error is counted in
+// it). The sink writers call it outside every ingest lock: each sweep
+// makes one AppendNoSync per device with that device's merged payload,
+// fsync withheld, then one CommitDevices for the devices it wrote, so K
+// devices × M batches cost at most K fsyncs under segstore's SyncAlways.
+// A device's calls arrive in emission order, never concurrently.
+// CommitDevices must treat devices with nothing to settle (including
+// ones whose AppendNoSync failed) as no-ops, and neither method may call
+// back into the Engine. A failed append or commit counts in
 // Stats.SinkErrors but does not fail the ingest: the segments were
 // already returned to the caller, so the engine degrades to memory-only
 // rather than dropping traffic.
 type Sink interface {
-	Append(device string, segs []traj.Segment) error
-}
-
-// DeferredSink is the optional group-commit face of a Sink. When the
-// configured Sink implements it, each sink-writer sweep calls
-// AppendNoSync once per device with that device's merged payload —
-// written, but with any per-append fsync deferred — and then
-// CommitDevices once for the whole sweep, making the deferred writes
-// durable with one fsync per dirty file: K devices × M batches cost at
-// most K fsyncs under segstore's SyncAlways. CommitDevices must accept
-// devices with nothing deferred (including ones whose AppendNoSync
-// failed) as no-ops. *segstore.Store implements it; plain Sinks are
-// driven with one Append per device per sweep instead.
-type DeferredSink interface {
-	Sink
 	AppendNoSync(device string, segs []traj.Segment) error
 	CommitDevices(devices []string) error
 }
 
-// The store is the DeferredSink the pipeline is designed around; keep
-// the contract pinned at compile time.
-var _ DeferredSink = (*segstore.Store)(nil)
+// DeferredSink is an alias of Sink, for code written against that name.
+type DeferredSink = Sink
 
 // Config parameterizes an Engine. The zero value is not usable: Zeta must
 // be a positive error bound in meters.
@@ -138,8 +124,8 @@ type Config struct {
 	// sink queue holds more than this fraction of its total capacity:
 	// the disk is behind, and opening more sessions only deepens the
 	// backlog. The RetryAfter is the backlog divided by the queue's
-	// measured drain rate. Existing sessions keep flowing under the
-	// SinkFull policy. Ignored without an async Sink.
+	// measured drain rate. Existing sessions keep flowing, blocking
+	// only once the queue is full. Ignored without a Sink.
 	QueueWatermark float64
 	// OnEvict, when non-nil, receives the trailing segments of every
 	// evicted session (EvictIdle and the janitor both report through it).
@@ -148,36 +134,26 @@ type Config struct {
 	// Ingest, Flush, FlushAll, EvictIdle and Close alike. See Sink.
 	Sink Sink
 	// SinkWriters is the number of goroutines draining the async sink
-	// queue; 0 selects DefaultSinkWriters. Ignored without a Sink or
-	// under SinkSync.
+	// queue; 0 selects DefaultSinkWriters. Ignored without a Sink.
 	SinkWriters int
 	// SinkQueue is each writer's queue depth in batches; 0 selects
 	// DefaultSinkQueue. A deeper queue absorbs longer storage stalls
-	// before the SinkFull policy engages.
+	// before a full queue blocks ingest.
 	SinkQueue int
-	// SinkFull selects what a full queue does with an ingest-path batch:
-	// SinkBlock (default, durability) or SinkDrop (availability). Session
-	// tails from Flush/EvictIdle/Close always block regardless.
-	SinkFull SinkFullPolicy
 	// SinkSweep caps how many segments one sink-writer sweep folds
 	// together before it commits — the bound on both the merge buffers
 	// and how long the sweep's first batch waits for stragglers when the
-	// queue is deep. 0 selects DefaultSinkSweep. Ignored without a Sink
-	// or under SinkSync.
+	// queue is deep. 0 selects DefaultSinkSweep. Ignored without a Sink.
 	SinkSweep int
 	// OnSink, when non-nil, observes every segment batch the Sink
-	// accepted (Append returned nil), after the append — the feed for
-	// live tails over the durable log: a batch is announced only once a
-	// replay would see it. Runs on a sink-writer goroutine (or under the
-	// shard lock when SinkSync), so it must be fast and must not call
-	// back into the Engine; the slice is reused after the call returns —
-	// copy to retain. Batches for one device arrive in persist order.
+	// accepted (its AppendNoSync and the sweep's CommitDevices both
+	// returned nil), after the commit — the feed for live tails over the
+	// durable log: a batch is announced only once a replay would see it.
+	// Runs on a sink-writer goroutine, so it must be fast and must not
+	// call back into the Engine; the slice is reused after the call
+	// returns — copy to retain. Batches for one device arrive in persist
+	// order.
 	OnSink func(device string, segs []traj.Segment)
-	// SinkSync disables the async pipeline and calls Sink.Append
-	// synchronously under the shard lock — the pre-queue behavior, kept
-	// for benchmarks comparing the two and for sinks that need the
-	// engine stalled while they run.
-	SinkSync bool
 	// Clock overrides the engine clock, for tests. Nil selects time.Now,
 	// whose monotonic reading makes idle measurement immune to wall-clock
 	// steps.
@@ -207,14 +183,12 @@ type Stats struct {
 	RateLimited int64 `json:"rate_limited"`      // ingests rejected by the per-device rate limit
 	Overloaded  int64 `json:"overload_rejected"` // new-device ingests rejected at the queue watermark
 
-	SinkAppends      int64 `json:"sink_appends"`          // merged payloads the Sink accepted
-	SinkErrorSegs    int64 `json:"sink_error_segments"`   // segments lost inside failed payloads
-	SinkQueued       int64 `json:"sink_queued"`           // sink-queue ops in flight right now
-	SinkBlocked      int64 `json:"sink_blocked"`          // enqueues that found the queue full and waited
-	SinkDropped      int64 `json:"sink_dropped"`          // batches dropped by the SinkDrop policy
-	SinkDroppedSegs  int64 `json:"sink_dropped_segments"` // segments inside those batches
-	SinkSweeps       int64 `json:"sink_sweeps"`           // writer sweeps that appended at least one device
-	SinkSweepBatches int64 `json:"sink_sweep_batches"`    // ingest batches folded into persisted sweeps
+	SinkAppends      int64 `json:"sink_appends"`        // merged payloads the Sink accepted
+	SinkErrorSegs    int64 `json:"sink_error_segments"` // segments lost inside failed payloads
+	SinkQueued       int64 `json:"sink_queued"`         // sink-queue ops in flight right now
+	SinkBlocked      int64 `json:"sink_blocked"`        // enqueues that found the queue full and waited
+	SinkSweeps       int64 `json:"sink_sweeps"`         // writer sweeps that appended at least one device
+	SinkSweepBatches int64 `json:"sink_sweep_batches"`  // ingest batches folded into persisted sweeps
 
 	// Store carries the durability tier's counters when the configured
 	// Sink exposes them (see StatsSink); nil otherwise. One Stats call
@@ -267,7 +241,7 @@ type Engine struct {
 	now    func() time.Time
 	burst  float64 // resolved DeviceBurst (DeviceRate when unset)
 	shards []shard
-	q      *sinkQueue // async sink pipeline; nil without a Sink or under SinkSync
+	q      *sinkQueue // async sink pipeline; nil without a Sink
 
 	live        atomic.Int64
 	opened      atomic.Int64
@@ -276,9 +250,6 @@ type Engine struct {
 	flushed     atomic.Int64
 	evicted     atomic.Int64
 	contended   atomic.Int64
-	sinkErrs    atomic.Int64
-	sinkErrSegs atomic.Int64
-	sinkApps    atomic.Int64
 	shed        atomic.Int64
 	rateLimited atomic.Int64
 	overloadRej atomic.Int64
@@ -311,9 +282,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 	}
 	if cfg.SinkQueue == 0 {
 		cfg.SinkQueue = DefaultSinkQueue
-	}
-	if cfg.SinkFull != SinkBlock && cfg.SinkFull != SinkDrop {
-		return nil, fmt.Errorf("stream: unknown SinkFull policy %d (use SinkBlock or SinkDrop)", int(cfg.SinkFull))
 	}
 	if cfg.SinkSweep < 0 {
 		return nil, fmt.Errorf("stream: negative sink sweep bound %d", cfg.SinkSweep)
@@ -360,9 +328,8 @@ func NewEngine(cfg Config) (*Engine, error) {
 	for i := range e.shards {
 		e.shards[i].sessions = make(map[string]*session)
 	}
-	if cfg.Sink != nil && !cfg.SinkSync {
-		e.q = newSinkQueue(cfg.Sink, cfg.SinkWriters, cfg.SinkQueue, cfg.SinkSweep, cfg.SinkFull,
-			cfg.QueueWatermark, e.now, &e.sinkErrs, &e.sinkErrSegs, &e.sinkApps, cfg.OnSink)
+	if cfg.Sink != nil {
+		e.q = newSinkQueue(cfg, e.now)
 	}
 	if cfg.EvictEvery > 0 && cfg.IdleAfter > 0 {
 		e.janitor.Add(1)
@@ -393,34 +360,11 @@ func (e *Engine) shard(device string) *shard {
 	return &e.shards[fnv1a(device)%uint32(len(e.shards))]
 }
 
-// persist hands a finalized batch to the Sink — synchronously under
-// SinkSync (caller holds the shard lock), or through the async queue
-// otherwise. Called with the shard lock held either way, which is what
-// keeps one device's batches in emission order.
-func (e *Engine) persist(device string, segs []traj.Segment) {
-	if e.cfg.Sink == nil || len(segs) == 0 {
-		return
-	}
-	if e.q != nil {
-		e.q.putBatch(device, segs)
-		return
-	}
-	if err := e.cfg.Sink.Append(device, segs); err != nil {
-		e.sinkErrs.Add(1)
-		e.sinkErrSegs.Add(int64(len(segs)))
-		return
-	}
-	e.sinkApps.Add(1)
-	if e.cfg.OnSink != nil {
-		e.cfg.OnSink(device, segs)
-	}
-}
-
 // handoff finalizes a just-removed session and routes its tail to the
 // Sink, returning a wait whose segs field is valid once wg is done.
 // Caller holds the shard lock (so the tail is ordered after the
 // session's batches and before any successor's) and must wg.Wait after
-// releasing it. Without a queue the session finishes inline.
+// releasing it. Without a Sink the session finishes inline.
 func (e *Engine) handoff(device string, s *session, wg *sync.WaitGroup) *finishWait {
 	res := &finishWait{wg: wg}
 	wg.Add(1)
@@ -429,7 +373,6 @@ func (e *Engine) handoff(device string, s *session, wg *sync.WaitGroup) *finishW
 		return res
 	}
 	res.segs = s.finish()
-	e.persist(device, res.segs)
 	wg.Done()
 	return res
 }
@@ -515,7 +458,7 @@ acquire:
 		// First contact while the sink queue is past its pressure
 		// watermark: the disk is behind and a new session only deepens
 		// the backlog. Reject with when-to-retry; existing sessions
-		// (below) keep flowing under the SinkFull policy.
+		// (below) keep flowing until the queue is full.
 		if e.q != nil && e.q.overloaded() {
 			retry := e.q.retryAfter()
 			sh.mu.Unlock()
@@ -578,10 +521,12 @@ acquire:
 	s.out = out
 	s.last = e.now()
 	// The queue copies out before the lock drops (the session reuses the
-	// buffer on its next batch); under SinkSync this is the disk write
-	// itself. Either way this is the only sink work in the critical
-	// section — a memcpy, not I/O, on the default async path.
-	e.persist(device, out)
+	// buffer on its next batch): the only sink work in the critical
+	// section is a memcpy, not I/O. Enqueuing under the shard lock is
+	// what keeps one device's batches in emission order.
+	if e.q != nil {
+		e.q.putBatch(device, out)
+	}
 	result := out
 	if dst != nil {
 		// IngestAppend: the caller's copy is taken before the lock drops,
@@ -732,25 +677,23 @@ func (e *Engine) Sessions() int { return int(e.live.Load()) }
 // sink's storage counters when the Sink exposes them.
 func (e *Engine) Stats() Stats {
 	st := Stats{
-		Sessions:      int(e.live.Load()),
-		Opened:        e.opened.Load(),
-		Points:        e.points.Load(),
-		Segments:      e.segments.Load(),
-		Flushed:       e.flushed.Load(),
-		Evicted:       e.evicted.Load(),
-		Contended:     e.contended.Load(),
-		SinkErrors:    e.sinkErrs.Load(),
-		SinkErrorSegs: e.sinkErrSegs.Load(),
-		SinkAppends:   e.sinkApps.Load(),
-		Shed:          e.shed.Load(),
-		RateLimited:   e.rateLimited.Load(),
-		Overloaded:    e.overloadRej.Load(),
+		Sessions:    int(e.live.Load()),
+		Opened:      e.opened.Load(),
+		Points:      e.points.Load(),
+		Segments:    e.segments.Load(),
+		Flushed:     e.flushed.Load(),
+		Evicted:     e.evicted.Load(),
+		Contended:   e.contended.Load(),
+		Shed:        e.shed.Load(),
+		RateLimited: e.rateLimited.Load(),
+		Overloaded:  e.overloadRej.Load(),
 	}
 	if e.q != nil {
+		st.SinkErrors = e.q.errs.Load()
+		st.SinkErrorSegs = e.q.errSegs.Load()
+		st.SinkAppends = e.q.apps.Load()
 		st.SinkQueued = e.q.depth.Load()
 		st.SinkBlocked = e.q.blocked.Load()
-		st.SinkDropped = e.q.dropped.Load()
-		st.SinkDroppedSegs = e.q.dropSeg.Load()
 		st.SinkSweeps = e.q.sweeps.Load()
 		st.SinkSweepBatches = e.q.sweepBatches.Load()
 	}

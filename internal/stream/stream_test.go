@@ -480,16 +480,17 @@ func TestFNVDistribution(t *testing.T) {
 	}
 }
 
-// memSink is an in-memory Sink recording every Append, optionally
-// failing on command.
+// memSink is an in-memory Sink recording every AppendNoSync, optionally
+// failing appends (fail) or commits (failCommit) on command.
 type memSink struct {
-	mu      sync.Mutex
-	batches int
-	segs    map[string][]traj.Segment
-	fail    error
+	mu         sync.Mutex
+	batches    int
+	segs       map[string][]traj.Segment
+	fail       error
+	failCommit error
 }
 
-func (m *memSink) Append(device string, segs []traj.Segment) error {
+func (m *memSink) AppendNoSync(device string, segs []traj.Segment) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.fail != nil {
@@ -502,6 +503,8 @@ func (m *memSink) Append(device string, segs []traj.Segment) error {
 	m.segs[device] = append(m.segs[device], segs...)
 	return nil
 }
+
+func (m *memSink) CommitDevices([]string) error { return m.failCommit }
 
 // TestSinkReceivesEverySegment: every emission path — ingest, explicit
 // flush, idle eviction, Close — lands in the Sink, in order, exactly
@@ -693,4 +696,5 @@ func TestStatsSurfacesStoreCounters(t *testing.T) {
 // discardSink is a Sink with no Stats method.
 type discardSink struct{}
 
-func (discardSink) Append(string, []traj.Segment) error { return nil }
+func (discardSink) AppendNoSync(string, []traj.Segment) error { return nil }
+func (discardSink) CommitDevices([]string) error              { return nil }

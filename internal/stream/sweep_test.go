@@ -4,7 +4,6 @@ import (
 	"errors"
 	"reflect"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -71,7 +70,8 @@ func TestSweepFoldsBacklog(t *testing.T) {
 	}
 }
 
-// sizeSink records the payload size of every Append, behind a gate.
+// sizeSink records the payload size of every AppendNoSync, behind a
+// gate.
 type sizeSink struct {
 	memSink
 	gate   chan struct{}
@@ -79,12 +79,12 @@ type sizeSink struct {
 	sizes  []int
 }
 
-func (s *sizeSink) Append(device string, segs []traj.Segment) error {
+func (s *sizeSink) AppendNoSync(device string, segs []traj.Segment) error {
 	<-s.gate
 	s.sizeMu.Lock()
 	s.sizes = append(s.sizes, len(segs))
 	s.sizeMu.Unlock()
-	return s.memSink.Append(device, segs)
+	return s.memSink.AppendNoSync(device, segs)
 }
 
 // TestSweepCapBoundsFold: Config.SinkSweep bounds how much a stalled
@@ -135,8 +135,7 @@ func TestSweepCapBoundsFold(t *testing.T) {
 // TestRecyclePoolCap: batch buffers beyond maxPooledSegs are dropped,
 // not pooled — an outlier burst must not pin its peak allocation.
 func TestRecyclePoolCap(t *testing.T) {
-	var errs, errSegs, apps atomic.Int64
-	q := newSinkQueue(&memSink{}, 1, 1, DefaultSinkSweep, SinkBlock, 0, time.Now, &errs, &errSegs, &apps, nil)
+	q := newSinkQueue(Config{Sink: &memSink{}, SinkWriters: 1, SinkQueue: 1, SinkSweep: DefaultSinkSweep}, time.Now)
 	defer q.close()
 	small := &segBatch{segs: make([]traj.Segment, 0, maxPooledSegs)}
 	if !q.recycle(small) {
@@ -148,38 +147,78 @@ func TestRecyclePoolCap(t *testing.T) {
 	}
 }
 
-// TestSinkSyncErrorSegs: the synchronous path counts segments lost to a
-// failing sink the same way the sweep path does.
-func TestSinkSyncErrorSegs(t *testing.T) {
-	sink := &memSink{fail: errors.New("disk full")}
-	e, err := NewEngine(Config{Zeta: 5, Sink: sink, SinkSync: true})
+// TestSweepCommitFailure: when a sweep's CommitDevices fails, every
+// device share the sweep wrote counts as lost — the engine cannot tell
+// which file's fsync failed — even though each AppendNoSync succeeded.
+// Nothing is announced to OnSink, nothing counts as appended, and Flush
+// still hands its tail back to the caller.
+func TestSweepCommitFailure(t *testing.T) {
+	sink := &gateSink{memSink: memSink{failCommit: errors.New("fsync: input/output error")}, gate: make(chan struct{})}
+	rec := &hookRecorder{}
+	e, err := NewEngine(Config{Zeta: 5, Sink: sink, SinkWriters: 1, SinkQueue: 512, OnSink: rec.hook})
 	if err != nil {
 		t.Fatal(err)
 	}
-	emitted := ingestEmitting(t, e, "dev", gen.One(gen.Truck, 800, 75), 40)
-	tail, ok := e.Flush("dev")
+	devs := []string{"taxi", "truck", "car"}
+	presets := []gen.Preset{gen.Taxi, gen.Truck, gen.SerCar}
+	// Gate shut: the single worker parks on its first write while the
+	// other batches queue up, so the drain folds several devices into
+	// one sweep.
+	emitted := 0
+	for i, dev := range devs {
+		emitted += ingestEmitting(t, e, dev, gen.One(presets[i], 800, uint64(75+i)), 40)
+	}
+	close(sink.gate)
+	tail, ok := e.Flush(devs[0])
 	if !ok {
 		t.Fatal("flush found no session")
 	}
+	if len(tail) == 0 {
+		t.Fatal("flush returned no tail; pick a smaller zeta")
+	}
+	tails := e.Close()
+	lost := emitted + len(tail)
+	for _, dev := range devs[1:] {
+		lost += len(tails[dev])
+	}
+
+	sink.mu.Lock()
+	shares := sink.batches
+	written := 0
+	for _, segs := range sink.segs {
+		written += len(segs)
+	}
+	sink.mu.Unlock()
+	if written != lost {
+		t.Fatalf("sink was handed %d segments, the engine emitted %d", written, lost)
+	}
 	st := e.Stats()
-	if st.SinkErrorSegs != int64(emitted+len(tail)) {
-		t.Fatalf("SinkErrorSegs = %d, want %d: %+v", st.SinkErrorSegs, emitted+len(tail), st)
+	if st.SinkErrors != int64(shares) {
+		t.Errorf("SinkErrors = %d, want one per device share written (%d): %+v", st.SinkErrors, shares, st)
 	}
-	if st.SinkErrors == 0 || st.SinkAppends != 0 {
-		t.Fatalf("stats: %+v", st)
+	if st.SinkErrorSegs != int64(lost) {
+		t.Errorf("SinkErrorSegs = %d, want every segment (%d): %+v", st.SinkErrorSegs, lost, st)
 	}
-	e.Close()
+	if st.SinkAppends != 0 {
+		t.Errorf("SinkAppends = %d after only failed commits", st.SinkAppends)
+	}
+	if st.SinkSweeps >= int64(shares) {
+		t.Errorf("%d sweeps for %d shares — no sweep covered several devices: %+v", st.SinkSweeps, shares, st)
+	}
+	if len(rec.segs) != 0 {
+		t.Errorf("OnSink announced %d devices whose commit failed", len(rec.segs))
+	}
 }
 
-// gatedStore wedges the deferred-append half of a real segment store, so
-// a backlog builds and the drain exercises merged multi-batch payloads
+// gatedStore wedges the write half of a real segment store, so a
+// backlog builds and the drain exercises merged multi-batch payloads
 // through the group-commit protocol.
 type gatedStore struct {
 	*segstore.Store
 	gate chan struct{}
 }
 
-var _ DeferredSink = (*gatedStore)(nil)
+var _ Sink = (*gatedStore)(nil)
 
 func (g *gatedStore) AppendNoSync(device string, segs []traj.Segment) error {
 	<-g.gate
@@ -188,8 +227,9 @@ func (g *gatedStore) AppendNoSync(device string, segs []traj.Segment) error {
 
 // TestSweepRestartIdentity is the acceptance test for the commit
 // protocol: the same uploads through the sweep-folding async pipeline
-// and through the synchronous per-batch path must leave stores that
-// replay identically after a close and reopen — folding changes the
+// and through one Store.Append per batch — the reference engine has no
+// Sink; every batch it returns is appended by hand — must leave stores
+// that replay identically after a close and reopen: folding changes the
 // record framing, never the segment stream.
 func TestSweepRestartIdentity(t *testing.T) {
 	devs := []string{"taxi-1", "truck-2", "car-3"}
@@ -200,9 +240,25 @@ func TestSweepRestartIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	engRef, err := NewEngine(Config{Zeta: 5, Sink: storeRef, SinkSync: true})
+	engRef, err := NewEngine(Config{Zeta: 5})
 	if err != nil {
 		t.Fatal(err)
+	}
+	appendRef := func(dev string, segs []traj.Segment) {
+		t.Helper()
+		if err := storeRef.Append(dev, segs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ingestRef := func(dev string, tr traj.Trajectory) {
+		t.Helper()
+		for off := 0; off < len(tr); off += 50 {
+			segs, err := engRef.Ingest(dev, tr[off:min(off+50, len(tr))])
+			if err != nil {
+				t.Fatal(err)
+			}
+			appendRef(dev, segs)
+		}
 	}
 	storeSweep, err := segstore.Open(segstore.Config{Dir: dirSweep, Sync: segstore.SyncAlways})
 	if err != nil {
@@ -220,24 +276,29 @@ func TestSweepRestartIdentity(t *testing.T) {
 	for i, dev := range devs {
 		trs[i] = gen.One(presets[i], 1500, uint64(81+i))
 		half := trs[i][:len(trs[i])/2]
-		ingestEmitting(t, engRef, dev, half, 50)
+		ingestRef(dev, half)
 		ingestEmitting(t, engSweep, dev, half, 50)
 	}
 	close(gated.gate)
 	// A mid-stream session boundary on one device: the successor's
 	// batches must land after the flushed tail inside the merged stream.
-	if _, ok := engRef.Flush(devs[0]); !ok {
+	tail, ok := engRef.Flush(devs[0])
+	if !ok {
 		t.Fatal("reference flush found no session")
 	}
+	appendRef(devs[0], tail)
 	if _, ok := engSweep.Flush(devs[0]); !ok {
 		t.Fatal("sweep flush found no session")
 	}
 	for i, dev := range devs {
 		rest := trs[i][len(trs[i])/2:]
-		ingestEmitting(t, engRef, dev, rest, 50)
+		ingestRef(dev, rest)
 		ingestEmitting(t, engSweep, dev, rest, 50)
 	}
-	engRef.Close()
+	refTails := engRef.Close()
+	for _, dev := range devs {
+		appendRef(dev, refTails[dev])
+	}
 	engSweep.Close()
 
 	refStats, sweepStats := storeRef.Stats(), storeSweep.Stats()
@@ -245,7 +306,7 @@ func TestSweepRestartIdentity(t *testing.T) {
 		t.Fatalf("sweep store never group-committed: %+v", sweepStats)
 	}
 	if sweepStats.Syncs >= refStats.Syncs {
-		t.Fatalf("sweep path cost %d fsyncs, synchronous %d — group commit saved nothing",
+		t.Fatalf("sweep path cost %d fsyncs, per-batch Append %d — group commit saved nothing",
 			sweepStats.Syncs, refStats.Syncs)
 	}
 	if err := storeRef.Close(); err != nil {
@@ -278,7 +339,7 @@ func TestSweepRestartIdentity(t *testing.T) {
 			t.Fatalf("%s: empty reference replay — test proves nothing", dev)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: sweep-path replay differs from synchronous path after restart", dev)
+			t.Fatalf("%s: sweep-path replay differs from per-batch Append after restart", dev)
 		}
 	}
 }

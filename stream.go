@@ -22,14 +22,13 @@ type (
 	// Eviction is one idle session finalized by Engine.EvictIdle.
 	Eviction = stream.Eviction
 	// SegmentSink receives every finalized segment batch the engine
-	// emits; a *SegmentStore is the canonical implementation. Set it on
-	// EngineConfig.Sink for durability. Appends run on the engine's async
-	// sink pipeline, outside the ingest critical section, ordered per
-	// device; see SinkFullPolicy and the EngineConfig Sink* fields.
+	// emits, as one AppendNoSync per device and one CommitDevices per
+	// sink-writer sweep; a *SegmentStore is the canonical
+	// implementation. Set it on EngineConfig.Sink for durability. The
+	// calls run on the engine's async sink pipeline, outside the ingest
+	// critical section, ordered per device; a full queue blocks ingest
+	// until the sink catches up. See the EngineConfig Sink* fields.
 	SegmentSink = stream.Sink
-	// SinkFullPolicy selects what a full sink queue does with an
-	// ingest-path batch: SinkBlock or SinkDrop.
-	SinkFullPolicy = stream.SinkFullPolicy
 	// OverloadError is an admission-control rejection — a per-device
 	// rate limit or sink-queue pressure — carrying RetryAfter, when
 	// retrying can plausibly succeed. Matches ErrOverloaded under
@@ -38,14 +37,8 @@ type (
 	OverloadError = stream.OverloadError
 )
 
-// Sink-queue backpressure policies and defaults, re-exported.
+// Sink-queue defaults, re-exported.
 const (
-	// SinkBlock blocks ingest until the sink queue has room: nothing
-	// acknowledged is ever lost, and a slow disk surfaces as latency.
-	SinkBlock = stream.SinkBlock
-	// SinkDrop sheds ingest-path batches when the queue is full: ingest
-	// never waits on storage, and EngineStats counts the gap.
-	SinkDrop = stream.SinkDrop
 	// DefaultSinkWriters is the sink writer-goroutine count when
 	// EngineConfig.SinkWriters is zero.
 	DefaultSinkWriters = stream.DefaultSinkWriters
