@@ -42,12 +42,13 @@
 //	POST /flush?device=ID&out=segments
 //	     finalize one device session (404 if unknown) or, without
 //	     device=, every live session.
-//	GET  /devices/{device}/segments?from=&to=&out=binary
+//	GET  /devices/{device}/segments?from=&to=&out=sgb1
 //	     replay the device's persisted segment log (requires -data-dir)
-//	     as NDJSON, or as the binary piecewise encoding with out=binary
-//	     (422 when the log spans several encoder sessions and is not one
-//	     continuous polyline), or as the gap-safe binary segment-batch
-//	     encoding with out=sgb1. from/to (unix ms, inclusive) restrict
+//	     as NDJSON, or as the gap-safe binary segment-batch encoding
+//	     with out=sgb1 (the piecewise encoding of /compress?out=binary
+//	     welds every Start to the previous End, so it cannot carry a log
+//	     spanning several encoder sessions and is not offered here;
+//	     out=binary is a 400). from/to (unix ms, inclusive) restrict
 //	     the reply to segments overlapping the range, answered via the
 //	     store's time index — seeks, not a log scan; a ranged query with
 //	     no matches is an empty 200, not a 404, and an inverted range
@@ -607,16 +608,19 @@ type segmentRecord struct {
 	Points int     `json:"points"`
 }
 
+func newSegmentRecord(device string, s traj.Segment) segmentRecord {
+	return segmentRecord{
+		Device: device,
+		T1:     s.Start.T, X1: s.Start.X, Y1: s.Start.Y,
+		T2: s.End.T, X2: s.End.X, Y2: s.End.Y,
+		Points: s.PointCount(),
+	}
+}
+
 func writeSegments(w io.Writer, device string, segs []traj.Segment) error {
 	enc := json.NewEncoder(w)
 	for _, s := range segs {
-		rec := segmentRecord{
-			Device: device,
-			T1:     s.Start.T, X1: s.Start.X, Y1: s.Start.Y,
-			T2: s.End.T, X2: s.End.X, Y2: s.End.Y,
-			Points: s.PointCount(),
-		}
-		if err := enc.Encode(rec); err != nil {
+		if err := enc.Encode(newSegmentRecord(device, s)); err != nil {
 			return err
 		}
 	}
@@ -857,19 +861,13 @@ func (s *server) handleDeviceSegments(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("inverted range: from=%d > to=%d", from, to), http.StatusBadRequest)
 		return
 	}
-	ranged := haveFrom || haveTo
 	if !haveFrom {
 		from = math.MinInt64
 	}
 	if !haveTo {
 		to = math.MaxInt64
 	}
-	var segs []traj.Segment
-	if ranged {
-		segs, err = s.store.ReplayRange(device, from, to)
-	} else {
-		segs, err = s.store.Replay(device)
-	}
+	segs, err := s.store.ReplayRange(device, from, to)
 	if err != nil {
 		status := http.StatusInternalServerError
 		if errors.Is(err, segstore.ErrDeviceID) {
@@ -880,7 +878,7 @@ func (s *server) handleDeviceSegments(w http.ResponseWriter, r *http.Request) {
 	}
 	// A full replay of an absent log is a 404; a ranged query that merely
 	// matched nothing is an ordinary empty result.
-	if len(segs) == 0 && !ranged {
+	if len(segs) == 0 && !haveFrom && !haveTo {
 		http.Error(w, "no persisted segments for device "+device, http.StatusNotFound)
 		return
 	}
@@ -890,32 +888,17 @@ func (s *server) handleDeviceSegments(w http.ResponseWriter, r *http.Request) {
 		if err := writeSegments(w, device, segs); err != nil {
 			log.Printf("devices/segments: write: %v", err)
 		}
-	case "binary":
-		// The binary piecewise encoding stores only the first Start and
-		// welds every later Start to the previous End — valid for one
-		// continuous polyline, silently wrong for a log spanning several
-		// encoder sessions (each restarts wherever the device was) or for
-		// a ranged result that skipped records. Refuse rather than corrupt;
-		// out=sgb1 carries discontinuous results.
-		for i := 1; i < len(segs); i++ {
-			if segs[i].Start != segs[i-1].End {
-				http.Error(w, "segments do not form one continuous polyline; use the NDJSON replay or out=sgb1", http.StatusUnprocessableEntity)
-				return
-			}
-		}
-		w.Header().Set("Content-Type", "application/octet-stream")
-		if _, err := w.Write(trajio.AppendPiecewise(nil, traj.Piecewise(segs))); err != nil {
-			log.Printf("devices/segments: write: %v", err)
-		}
 	case "sgb1":
 		// The segment-batch encoding carries Start and End explicitly, so
-		// it is closed under range filtering — no continuity requirement.
+		// it is closed under range filtering and holds a log spanning
+		// several encoder sessions — what the welded piecewise encoding
+		// of /compress cannot.
 		w.Header().Set("Content-Type", "application/octet-stream")
 		if _, err := w.Write(trajio.AppendSegments(nil, segs)); err != nil {
 			log.Printf("devices/segments: write: %v", err)
 		}
 	default:
-		http.Error(w, "unknown out format (segments, binary, sgb1)", http.StatusBadRequest)
+		http.Error(w, "unknown out format (segments, sgb1)", http.StatusBadRequest)
 	}
 }
 
@@ -953,16 +936,11 @@ func (s *server) handleDeviceAt(w http.ResponseWriter, r *http.Request) {
 	p := seg.At(tms)
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(map[string]any{
-		"device": device,
-		"t_ms":   tms,
-		"x_m":    p.X,
-		"y_m":    p.Y,
-		"segment": segmentRecord{
-			Device: device,
-			T1:     seg.Start.T, X1: seg.Start.X, Y1: seg.Start.Y,
-			T2: seg.End.T, X2: seg.End.X, Y2: seg.End.Y,
-			Points: seg.PointCount(),
-		},
+		"device":  device,
+		"t_ms":    tms,
+		"x_m":     p.X,
+		"y_m":     p.Y,
+		"segment": newSegmentRecord(device, seg),
 	})
 }
 

@@ -706,25 +706,27 @@ func TestDeviceSegmentsEndpoint(t *testing.T) {
 		t.Fatalf("replayed %d segments for %d points", count, len(tr))
 	}
 
-	// Binary replay decodes to the same number of segments.
-	resp2, err := http.Get(segmentsURL(srv, dev) + "?out=binary")
+	// Binary (SGB1) replay decodes to the same number of segments.
+	resp2, err := http.Get(segmentsURL(srv, dev) + "?out=sgb1")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp2.Body.Close()
 	raw, _ := io.ReadAll(resp2.Body)
-	pw, err := trajio.DecodePiecewise(raw)
+	segs, err := trajio.DecodeSegments(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pw) != count {
-		t.Fatalf("binary replay has %d segments, NDJSON had %d", len(pw), count)
+	if len(segs) != count {
+		t.Fatalf("binary replay has %d segments, NDJSON had %d", len(segs), count)
 	}
-	if err := metrics.VerifyBound(tr, pw, 40.03); err != nil {
+	if err := metrics.VerifyBound(tr, traj.Piecewise(segs), 40.03); err != nil {
 		t.Error(err)
 	}
 
-	// Unknown device and bad out → 404 / 400.
+	// Unknown device and bad out → 404 / 400. The piecewise encoding
+	// (out=binary) is /compress-only: a stored log may span several
+	// encoder sessions, which it cannot represent.
 	if resp, err = http.Get(segmentsURL(srv, "nobody")); err != nil {
 		t.Fatal(err)
 	}
@@ -732,12 +734,14 @@ func TestDeviceSegmentsEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown device: status %d, want 404", resp.StatusCode)
 	}
-	if resp, err = http.Get(segmentsURL(srv, dev) + "?out=weird"); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("bad out: status %d, want 400", resp.StatusCode)
+	for _, out := range []string{"weird", "binary"} {
+		if resp, err = http.Get(segmentsURL(srv, dev) + "?out=" + out); err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("out=%s: status %d, want 400", out, resp.StatusCode)
+		}
 	}
 }
 
@@ -783,15 +787,15 @@ func TestRestartServesIdenticalSegments(t *testing.T) {
 		}
 		resp.Body.Close()
 	}
-	fetch := func(srv *httptest.Server, out string, wantStatus int) []byte {
+	fetch := func(srv *httptest.Server, out string) []byte {
 		t.Helper()
 		resp, err := http.Get(segmentsURL(srv, dev) + out)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer resp.Body.Close()
-		if resp.StatusCode != wantStatus {
-			t.Fatalf("segments%s: status %d, want %d", out, resp.StatusCode, wantStatus)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("segments%s: status %d", out, resp.StatusCode)
 		}
 		b, err := io.ReadAll(resp.Body)
 		if err != nil {
@@ -804,11 +808,11 @@ func TestRestartServesIdenticalSegments(t *testing.T) {
 	srvA, _ := persistentServer(t, t.TempDir())
 	upload(srvA, tr[:half])
 	upload(srvA, tr[half:])
-	wantNDJSON := fetch(srvA, "", http.StatusOK)
+	wantNDJSON := fetch(srvA, "")
 	// Both halves were separate encoder sessions, so the log is not one
-	// continuous polyline: binary replay must refuse, identically in both
-	// runs, rather than weld the sessions together.
-	fetch(srvA, "?out=binary", http.StatusUnprocessableEntity)
+	// continuous polyline; SGB1 carries it as is, and must too after a
+	// restart.
+	wantSGB1 := fetch(srvA, "?out=sgb1")
 
 	// Run B: same uploads, but the server restarts between them.
 	dirB := t.TempDir()
@@ -818,10 +822,12 @@ func TestRestartServesIdenticalSegments(t *testing.T) {
 	srvB2, _ := persistentServer(t, dirB)
 	upload(srvB2, tr[half:])
 
-	if got := fetch(srvB2, "", http.StatusOK); !bytes.Equal(got, wantNDJSON) {
+	if got := fetch(srvB2, ""); !bytes.Equal(got, wantNDJSON) {
 		t.Errorf("NDJSON replay differs after restart:\n got %d bytes\nwant %d bytes", len(got), len(wantNDJSON))
 	}
-	fetch(srvB2, "?out=binary", http.StatusUnprocessableEntity)
+	if got := fetch(srvB2, "?out=sgb1"); !bytes.Equal(got, wantSGB1) {
+		t.Errorf("SGB1 replay differs after restart:\n got %d bytes\nwant %d bytes", len(got), len(wantSGB1))
+	}
 	if len(wantNDJSON) == 0 {
 		t.Fatal("empty replay — test proved nothing")
 	}

@@ -156,12 +156,7 @@ func (s *server) handleDeviceTail(w http.ResponseWriter, r *http.Request) {
 		case segs := <-sub.ch:
 			recs := make([]segmentRecord, len(segs))
 			for i, sg := range segs {
-				recs[i] = segmentRecord{
-					Device: device,
-					T1:     sg.Start.T, X1: sg.Start.X, Y1: sg.Start.Y,
-					T2: sg.End.T, X2: sg.End.X, Y2: sg.End.Y,
-					Points: sg.PointCount(),
-				}
+				recs[i] = newSegmentRecord(device, sg)
 			}
 			if _, err := fmt.Fprint(w, "event: segments\ndata: "); err != nil {
 				return

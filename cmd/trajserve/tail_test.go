@@ -118,7 +118,7 @@ func TestDeviceSegmentsInvertedRange(t *testing.T) {
 	if from <= to {
 		t.Fatalf("trajectory spans [%d,%d]; cannot build an inverted window", to, from)
 	}
-	for _, out := range []string{"", "&out=binary", "&out=sgb1"} {
+	for _, out := range []string{"", "&out=sgb1"} {
 		u := fmt.Sprintf("%s?from=%d&to=%d%s", segmentsURL(srv, dev), from, to, out)
 		resp, err := http.Get(u)
 		if err != nil {

@@ -1,0 +1,50 @@
+package segstore
+
+import "testing"
+
+// TestReadPathAllocs gates the read path's allocations per query on the
+// 16-segment window of BenchmarkReplayRange and BenchmarkReplayRangeHot
+// (16384 segments in 64 KiB files): a warm cached SegmentAt allocates
+// nothing, a warm cached window only its result, and an uncached window
+// at most 6: the result, plus the path and descriptor of the one file it
+// opens.
+func TestReadPathAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under -race")
+	}
+	const n = 16384
+	segs := syntheticSegs(n)
+	from := segs[n/2].Start.T + 1
+	to := segs[n/2+15].End.T - 1
+	build := func(cacheBytes int64) *Store {
+		s := openStore(t, Config{MaxFileSize: 64 << 10, Sync: SyncNever, ReadCacheBytes: cacheBytes})
+		appendInChunks(t, s, "dev", segs, 64)
+		return s
+	}
+	window := func(s *Store) func() {
+		return func() {
+			if got, err := s.ReplayRange("dev", from, to); err != nil || len(got) != 16 {
+				t.Fatalf("%d segments, %v", len(got), err)
+			}
+		}
+	}
+	cold, warm := build(0), build(64<<20)
+	for _, c := range []struct {
+		name string
+		max  float64
+		f    func()
+	}{
+		{"warm/at", 0, func() {
+			if _, err := warm.SegmentAt("dev", (from+to)/2); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"warm/window", 1, window(warm)},
+		{"cold/window", 6, window(cold)},
+	} {
+		c.f() // prime the cache and the pools
+		if got := testing.AllocsPerRun(100, c.f); got > c.max {
+			t.Errorf("%s: %.1f allocs per query, want at most %.0f", c.name, got, c.max)
+		}
+	}
+}

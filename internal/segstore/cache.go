@@ -13,8 +13,8 @@ import (
 // commit: the same decoded segments should not cost a pread and a varint
 // decode on every query. A granule is one index-entry span of one log
 // file — a byte range starting and ending on record boundaries, the unit
-// readSpans/segmentAtSpans fetch — cached store-wide as its decoded
-// []traj.Segment under a byte budget (Config.ReadCacheBytes).
+// every query reads through Store.span (read.go) — cached store-wide as
+// its decoded []traj.Segment under a byte budget (Config.ReadCacheBytes).
 //
 // Keys carry the span's end offset as well as its start. Spans of sealed
 // files are immutable, so their keys are stable; the live file's final

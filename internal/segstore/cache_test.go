@@ -2,6 +2,7 @@ package segstore
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -53,8 +54,9 @@ func segmentAtOracle(all []traj.Segment, t int64) (traj.Segment, bool) {
 
 // verifyAgainstRaw checks Replay, unbounded and ranged ReplayRange, and
 // SegmentAt probes against the raw on-disk decode. Called twice per
-// phase, the second pass answers from the cache — so any staleness the
-// phase's mutations should have invalidated shows up as a mismatch.
+// phase; with the cache on, the second pass answers from it — so any
+// staleness the phase's mutations should have invalidated shows up as a
+// mismatch.
 func verifyAgainstRaw(t *testing.T, s *Store, dir, dev string) {
 	t.Helper()
 	raw := rawReplay(t, dir, dev)
@@ -106,82 +108,90 @@ func verifyAgainstRaw(t *testing.T, s *Store, dir, dev string) {
 
 // TestReadCacheCoherenceOracle interleaves every mutation the store
 // supports — appends, rotation, size-budget deletes, expired-prefix
-// truncation, re-ingest of an older time span — with cached queries,
-// asserting after each phase (twice: cold-ish, then fully cached) that
-// every answer matches a raw decode of the bytes on disk.
+// truncation, re-ingest of an older time span — with queries, asserting
+// after each phase (twice: cold-ish, then fully cached) that every
+// answer matches a raw decode of the bytes on disk. Queries read through
+// one span function whether or not the cache is on, so the oracle runs
+// in both modes: with the cache off every answer comes from disk, with
+// it on the second pass comes from cached granules.
 func TestReadCacheCoherenceOracle(t *testing.T) {
-	dir := t.TempDir()
-	s := openStore(t, Config{
-		Dir:            dir,
-		Sync:           SyncNever,
-		SyncEvery:      time.Hour, // no background pass racing the oracle
-		MaxFileSize:    512,
-		MaxLogBytes:    2 << 10,
-		MaxLogAge:      time.Hour,
-		ReadCacheBytes: 1 << 20,
-	})
-	s.idxGran = 1 // per-record granules: maximum cache churn
-	clock := int64(1_000_000)
-	s.now = func() time.Time { return time.UnixMilli(clock) }
-	const dev = "oracle"
-	segs := simplified(t, gen.Taxi, 900, 29)
+	for _, cacheBytes := range []int64{0, 1 << 20} {
+		t.Run(fmt.Sprintf("cache=%d", cacheBytes), func(t *testing.T) {
+			dir := t.TempDir()
+			s := openStore(t, Config{
+				Dir:            dir,
+				Sync:           SyncNever,
+				SyncEvery:      time.Hour, // no background pass racing the oracle
+				MaxFileSize:    512,
+				MaxLogBytes:    2 << 10,
+				MaxLogAge:      time.Hour,
+				ReadCacheBytes: cacheBytes,
+			})
+			s.idxGran = 1 // per-record granules: maximum cache churn
+			clock := int64(1_000_000)
+			s.now = func() time.Time { return time.UnixMilli(clock) }
+			const dev = "oracle"
+			segs := simplified(t, gen.Taxi, 900, 29)
 
-	appendPhase := func(from, to int) {
-		t.Helper()
-		for i := from; i < to; i += 4 {
-			clock += 1000
-			if err := s.Append(dev, segs[i:min(i+4, to)]); err != nil {
+			appendPhase := func(from, to int) {
+				t.Helper()
+				for i := from; i < to; i += 4 {
+					clock += 1000
+					if err := s.Append(dev, segs[i:min(i+4, to)]); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			verify := func() {
+				t.Helper()
+				verifyAgainstRaw(t, s, dir, dev) // populates the cache
+				verifyAgainstRaw(t, s, dir, dev) // answered from it
+			}
+
+			// Phase 1: plain growth across several rotations.
+			appendPhase(0, len(segs)/2)
+			verify()
+
+			// Phase 2: more growth — the cached tail granules from phase 1
+			// must not shadow the records appended since (tail spans re-key
+			// as they grow), and size-budget deletes fire at rotation.
+			appendPhase(len(segs)/2, len(segs))
+			verify()
+
+			// Phase 3: re-ingest an old time span — entries go unsorted, and
+			// last-appended-wins must hold through the cache.
+			if err := s.Append(dev, segs[len(segs)/3:len(segs)/3+30]); err != nil {
 				t.Fatal(err)
 			}
-		}
-	}
-	verify := func() {
-		t.Helper()
-		verifyAgainstRaw(t, s, dir, dev) // populates the cache
-		verifyAgainstRaw(t, s, dir, dev) // answered from it
-	}
+			verify()
 
-	// Phase 1: plain growth across several rotations.
-	appendPhase(0, len(segs)/2)
-	verify()
+			// Phase 4: expire everything appended so far and compact — the
+			// oldest surviving file is rewritten without its expired prefix,
+			// reusing byte offsets for different records. Stale granules
+			// must go with it.
+			clock += (3 * time.Hour).Milliseconds()
+			if err := s.CompactNow(); err != nil {
+				t.Fatal(err)
+			}
+			verify()
 
-	// Phase 2: more growth — the cached tail granules from phase 1 must
-	// not shadow the records appended since (tail spans re-key as they
-	// grow), and size-budget deletes fire at rotation.
-	appendPhase(len(segs)/2, len(segs))
-	verify()
+			// Phase 5: life goes on after truncation.
+			if err := s.Append(dev, segs[:8]); err != nil {
+				t.Fatal(err)
+			}
+			verify()
 
-	// Phase 3: re-ingest an old time span — entries go unsorted, and
-	// last-appended-wins must hold through the cache.
-	if err := s.Append(dev, segs[len(segs)/3:len(segs)/3+30]); err != nil {
-		t.Fatal(err)
-	}
-	verify()
-
-	// Phase 4: expire everything appended so far and compact — the oldest
-	// surviving file is rewritten without its expired prefix, reusing byte
-	// offsets for different records. Stale granules must go with it.
-	clock += (3 * time.Hour).Milliseconds()
-	if err := s.CompactNow(); err != nil {
-		t.Fatal(err)
-	}
-	verify()
-
-	// Phase 5: life goes on after truncation.
-	if err := s.Append(dev, segs[:8]); err != nil {
-		t.Fatal(err)
-	}
-	verify()
-
-	st := s.Stats()
-	if st.ReadCacheHits == 0 || st.ReadCacheMiss == 0 {
-		t.Fatalf("cache never exercised: %+v", st)
-	}
-	if st.DeletedFiles == 0 {
-		t.Fatalf("size-budget deletes never fired — shrink MaxLogBytes: %+v", st)
-	}
-	if st.PrefixTruncations == 0 {
-		t.Fatalf("prefix truncation never fired: %+v", st)
+			st := s.Stats()
+			if cacheBytes > 0 && (st.ReadCacheHits == 0 || st.ReadCacheMiss == 0) {
+				t.Fatalf("cache never exercised: %+v", st)
+			}
+			if st.DeletedFiles == 0 {
+				t.Fatalf("size-budget deletes never fired — shrink MaxLogBytes: %+v", st)
+			}
+			if st.PrefixTruncations == 0 {
+				t.Fatalf("prefix truncation never fired: %+v", st)
+			}
+		})
 	}
 }
 

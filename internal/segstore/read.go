@@ -30,10 +30,13 @@ import (
 // being read is never deleted or renamed-over under a reader. Readers
 // open their own descriptors, leaving the append-handle LRU untouched.
 //
-// On top of the snapshot sits the optional granule cache (cache.go):
-// with Config.ReadCacheBytes set, each index-entry span decodes once and
-// is served from memory after that — a hot SegmentAt or ReplayRange over
-// cached granules does no I/O at all.
+// Every query reads through one function, span: the decoded segments of
+// one index-entry span. With Config.ReadCacheBytes set it serves the
+// span from the granule cache (cache.go), decoding it once on a miss —
+// a hot SegmentAt or ReplayRange over cached granules does no I/O at
+// all. With the cache off it preads that one span into the snapshot's
+// buffer and decodes into the snapshot's scratch, so a query holds one
+// span in memory at a time besides its result.
 
 // ErrNoPosition is returned by SegmentAt when no persisted segment
 // covers the requested time.
@@ -41,26 +44,29 @@ var ErrNoPosition = errors.New("segstore: no position at that time")
 
 // readSnap is one query's point-in-time view of a device log: the file
 // list (each file read-pinned for the snapshot's lifetime), the newest
-// file's index entries and committed size as of the snapshot, and a memo
-// of sealed-file indexes resolved so far. Snapshots are pooled; a warm
-// query allocates nothing here.
+// file's index entries and committed size as of the snapshot, and the
+// query's reusable read state. Snapshots are pooled; a warm query
+// allocates nothing here.
 type readSnap struct {
 	l       *deviceLog
 	device  string
 	seqs    []int        // pinned files, ascending
 	tail    []indexEntry // newest file's entries at snapshot time
 	tailLen int64        // newest file's committed bytes at snapshot time
-	idxs    []snapIdx    // sealed indexes resolved by this snapshot
-	plans   []spanPlan   // reusable range-read planning scratch
+	plans   []spanPlan   // range-read planning scratch
+
+	// The open descriptor of the file being read (fseq), kept across the
+	// spans of one file and closed by the next file or by release.
+	f    file
+	fseq int
+	// Span pread buffer and cache-off decode scratch. An entry span is
+	// bounded by the index granularity plus one record, so both stay
+	// small however large the log.
+	buf     []byte
+	scratch []traj.Segment
 }
 
-// snapIdx memoizes one resolved sealed-file index.
-type snapIdx struct {
-	seq int
-	fi  fileIndex
-}
-
-// spanPlan is one file's share of a range read: its index and the entry
+// spanPlan is one file's share of a query: its index and the entry
 // range the query must consider.
 type spanPlan struct {
 	seq    int
@@ -95,7 +101,6 @@ func (s *Store) snapshot(device string) (*readSnap, error) {
 	snap.seqs = append(snap.seqs[:0], l.seqs...)
 	snap.tail = append(snap.tail[:0], l.tail...)
 	snap.tailLen = l.size
-	snap.idxs = snap.idxs[:0]
 	if len(snap.seqs) > 0 {
 		if l.readPins == nil {
 			l.readPins = make(map[int]int)
@@ -108,8 +113,13 @@ func (s *Store) snapshot(device string) (*readSnap, error) {
 	return snap, nil
 }
 
-// release drops the snapshot's read pins and returns it to the pool.
+// release closes the snapshot's descriptor, drops its read pins and
+// returns it to the pool.
 func (snap *readSnap) release() {
+	if snap.f != nil {
+		snap.f.Close()
+		snap.f = nil
+	}
 	l := snap.l
 	if len(snap.seqs) > 0 {
 		l.mu.Lock()
@@ -131,40 +141,98 @@ func (snap *readSnap) release() {
 func (snap *readSnap) tailSeq() int { return snap.seqs[len(snap.seqs)-1] }
 
 // index resolves file seq's index within this snapshot: the captured
-// tail for the newest file, the memo or the store for sealed ones. A
-// file sealed *after* the snapshot still reads through the captured tail
-// — correct, since rotation freezes exactly the entries and size the
-// snapshot copied.
+// tail for the newest file, the store's for sealed ones. A file sealed
+// *after* the snapshot still reads through the captured tail — correct,
+// since rotation freezes exactly the entries and size the snapshot
+// copied.
 func (snap *readSnap) index(s *Store, seq int) (fileIndex, error) {
 	if seq == snap.tailSeq() {
 		return fileIndex{entries: snap.tail, dataLen: snap.tailLen}, nil
 	}
-	for _, si := range snap.idxs {
-		if si.seq == seq {
-			return si.fi, nil
-		}
-	}
-	fi, err := s.loadSealedIndex(snap.l, seq)
-	if err != nil {
-		return fileIndex{}, err
-	}
-	snap.idxs = append(snap.idxs, snapIdx{seq, fi})
-	return fi, nil
+	return s.loadSealedIndex(snap.l, seq)
 }
 
-// dropIndex forgets file seq's index in both the snapshot memo and the
-// store (unlinking the sidecar) — the retry path when a sealed file's
-// advisory sidecar turns out not to match its data.
-func (snap *readSnap) dropIndex(s *Store, seq int) {
-	for i, si := range snap.idxs {
-		if si.seq == seq {
-			snap.idxs = append(snap.idxs[:i], snap.idxs[i+1:]...)
-			break
+// plan resolves file seq's index and selects the entries a query over
+// [from, to] must consider.
+func (s *Store) plan(snap *readSnap, seq int, from, to int64) (spanPlan, error) {
+	fi, err := snap.index(s, seq)
+	if err != nil {
+		return spanPlan{}, err
+	}
+	lo, hi := selectEntries(fi.entries, from, to)
+	return spanPlan{seq: seq, fi: fi, lo: lo, hi: hi}, nil
+}
+
+// readPlan runs read over plan p. A failure under a sealed file's
+// sidecar discards that sidecar and retries once against an index
+// rebuilt from the data file — sidecars are advisory, and a
+// CRC-collision or foreign file must not turn into a spurious
+// ErrCorrupt. The newest file's index was built in memory from the data
+// itself, so there a failure is real corruption. read must be safe to
+// rerun from scratch.
+func (s *Store) readPlan(snap *readSnap, p spanPlan, from, to int64, read func(spanPlan) error) error {
+	for attempt := 0; ; attempt++ {
+		err := read(p)
+		if err == nil {
+			return nil
+		}
+		if attempt > 0 || p.seq == snap.tailSeq() {
+			return fmt.Errorf("%w: indexed read: %v (%s)", ErrCorrupt, err, snap.l.path(p.seq))
+		}
+		snap.l.mu.Lock()
+		snap.l.dropIndex(s, p.seq)
+		snap.l.mu.Unlock()
+		if p, err = s.plan(snap, p.seq, from, to); err != nil {
+			return err
 		}
 	}
-	snap.l.mu.Lock()
-	snap.l.dropIndex(s, seq)
-	snap.l.mu.Unlock()
+}
+
+// span returns the decoded segments of file seq's index-entry span
+// [off, end) — the one place the read path decides between the granule
+// cache and the disk. A cached span is shared and read-only; an
+// uncached one lives in the snapshot's scratch, valid until the next
+// span call. Either way the caller must not modify or keep it.
+func (s *Store) span(snap *readSnap, seq int, off, end int64) ([]traj.Segment, error) {
+	if s.cache == nil {
+		segs, err := s.readSpan(snap, seq, off, end, snap.scratch[:0])
+		snap.scratch = segs[:0]
+		return segs, err
+	}
+	key := granuleKey{snap.device, seq, off, end}
+	if segs, ok := s.cache.get(key); ok {
+		return segs, nil
+	}
+	// The cache retains what a miss decodes, so it decodes into a fresh
+	// slice rather than the scratch.
+	return s.cache.load(key, func() ([]traj.Segment, error) {
+		return s.readSpan(snap, seq, off, end, nil)
+	})
+}
+
+// readSpan preads file seq's bytes [off, end) — whole records — into the
+// snapshot's buffer and appends their segments to dst.
+func (s *Store) readSpan(snap *readSnap, seq int, off, end int64, dst []traj.Segment) ([]traj.Segment, error) {
+	if snap.f == nil || snap.fseq != seq {
+		if snap.f != nil {
+			snap.f.Close()
+			snap.f = nil
+		}
+		f, err := s.fs.Open(snap.l.path(seq))
+		if err != nil {
+			return dst, err
+		}
+		snap.f, snap.fseq = f, seq
+	}
+	n := int(end - off)
+	if cap(snap.buf) < n {
+		snap.buf = make([]byte, n)
+	}
+	buf := snap.buf[:n]
+	if err := s.preadFull(snap.f, buf, off); err != nil {
+		return dst, err
+	}
+	return decodeRecordRange(dst, buf)
 }
 
 // ReplayRange returns every persisted segment for device whose time
@@ -192,19 +260,18 @@ func (s *Store) replayRange(snap *readSnap, from, to int64) ([]traj.Segment, err
 	var innerBytes int64 // spans of entries wholly inside [from, to]: every segment matches
 	var boundary int     // entries straddling a range end: unknown, usually small, yield
 	for _, seq := range snap.seqs {
-		fi, err := snap.index(s, seq)
+		p, err := s.plan(snap, seq, from, to)
 		if err != nil {
 			return nil, err
 		}
-		lo, hi := selectEntries(fi.entries, from, to)
-		if lo >= hi {
+		if p.lo >= p.hi {
 			continue
 		}
-		plans = append(plans, spanPlan{seq: seq, fi: fi, lo: lo, hi: hi})
-		for i := lo; i < hi; i++ {
-			e := fi.entries[i]
+		plans = append(plans, p)
+		for i := p.lo; i < p.hi; i++ {
+			e := p.fi.entries[i]
 			if e.minT >= from && e.maxT <= to {
-				innerBytes += entryEnd(fi, i) - e.off
+				innerBytes += entryEnd(p.fi, i) - e.off
 			} else {
 				boundary++
 			}
@@ -216,8 +283,28 @@ func (s *Store) replayRange(snap *readSnap, from, to int64) ([]traj.Segment, err
 	}
 	out := make([]traj.Segment, 0, estimateSegs(innerBytes, boundary))
 	for _, p := range plans {
-		var err error
-		if out, err = s.fileRange(snap, p, from, to, out); err != nil {
+		base := out
+		err := s.readPlan(snap, p, from, to, func(p spanPlan) error {
+			out = base
+			for i := p.lo; i < p.hi; i++ {
+				e := p.fi.entries[i]
+				if !e.overlaps(from, to) {
+					continue
+				}
+				segs, err := s.span(snap, p.seq, e.off, entryEnd(p.fi, i))
+				if err != nil {
+					return err
+				}
+				// The span covers whole records; keep only the segments in range.
+				for _, sg := range segs {
+					if sg.End.T >= from && sg.Start.T <= to {
+						out = append(out, sg)
+					}
+				}
+			}
+			return nil
+		})
+		if err != nil {
 			return nil, err
 		}
 	}
@@ -227,9 +314,9 @@ func (s *Store) replayRange(snap *readSnap, from, to int64) ([]traj.Segment, err
 // Replay returns every persisted segment for device in append order
 // (coordinates quantized to 1 cm, as stored). A device with no log
 // replays as nil. Damage anywhere but the newest file's tail is
-// reported as ErrCorrupt. The log is streamed span by span through
-// pooled buffers — replaying a multi-gigabyte log holds one span in
-// memory at a time, not whole files.
+// reported as ErrCorrupt. The log is read one index-entry span at a
+// time — replaying a multi-gigabyte log holds one span in memory
+// besides the result, not whole files.
 func (s *Store) Replay(device string) ([]traj.Segment, error) {
 	snap, err := s.snapshot(device)
 	if err != nil {
@@ -282,133 +369,6 @@ func entryEnd(fi fileIndex, i int) int64 {
 	return fi.dataLen
 }
 
-// fileRange appends file seq's segments intersecting [from, to] to dst.
-// A decode failure under a sealed file's sidecar discards that sidecar
-// and retries once against an index rebuilt from the data file —
-// sidecars are advisory, and a CRC-collision or foreign file must not
-// turn into a spurious ErrCorrupt. The newest file's index was built in
-// memory from the data itself, so there a failure is real corruption.
-func (s *Store) fileRange(snap *readSnap, p spanPlan, from, to int64, dst []traj.Segment) ([]traj.Segment, error) {
-	for attempt := 0; ; attempt++ {
-		out, err := s.readSpans(snap, p, from, to, dst)
-		if err == nil {
-			return out, nil
-		}
-		if attempt > 0 || p.seq == snap.tailSeq() {
-			return dst, fmt.Errorf("%w: indexed read: %v (%s)", ErrCorrupt, err, snap.l.path(p.seq))
-		}
-		snap.dropIndex(s, p.seq)
-		fi, ferr := snap.index(s, p.seq)
-		if ferr != nil {
-			return dst, ferr
-		}
-		p.fi = fi
-		p.lo, p.hi = selectEntries(fi.entries, from, to)
-	}
-}
-
-// readSpans is one indexed pass over file seq, appending the in-range
-// segments of the selected entries to dst. With the granule cache on,
-// each entry span is fetched through it — cached spans cost a filtered
-// copy, no I/O. With it off, each contiguous run of selected entries is
-// read with one pread through a pooled buffer.
-func (s *Store) readSpans(snap *readSnap, p spanPlan, from, to int64, dst []traj.Segment) ([]traj.Segment, error) {
-	entries := p.fi.entries
-	var f file
-	defer func() {
-		if f != nil {
-			f.Close()
-		}
-	}()
-	open := func() error {
-		if f != nil {
-			return nil
-		}
-		var err error
-		f, err = s.fs.Open(snap.l.path(p.seq))
-		return err
-	}
-
-	if s.cache != nil {
-		for i := p.lo; i < p.hi; i++ {
-			if !entries[i].overlaps(from, to) {
-				continue
-			}
-			off, end := entries[i].off, entryEnd(p.fi, i)
-			key := granuleKey{snap.device, p.seq, off, end}
-			segs, ok := s.cache.get(key)
-			if !ok {
-				var err error
-				segs, err = s.cache.load(key, func() ([]traj.Segment, error) {
-					if err := open(); err != nil {
-						return nil, err
-					}
-					return s.fetchGranule(f, off, end)
-				})
-				if err != nil {
-					return dst, err
-				}
-			}
-			// The span covers whole records; keep only the segments in range.
-			for _, sg := range segs {
-				if sg.End.T >= from && sg.Start.T <= to {
-					dst = append(dst, sg)
-				}
-			}
-		}
-		return dst, nil
-	}
-
-	bufp := getReadBuf()
-	defer putReadBuf(bufp)
-	scratchp := getSegScratch()
-	defer putSegScratch(scratchp)
-	for i := p.lo; i < p.hi; {
-		if !entries[i].overlaps(from, to) {
-			i++
-			continue
-		}
-		j := i + 1
-		for j < p.hi && entries[j].overlaps(from, to) {
-			j++
-		}
-		if err := open(); err != nil {
-			return dst, err
-		}
-		buf := growBuf(bufp, int(entryEnd(p.fi, j-1)-entries[i].off))
-		if err := s.preadFull(f, buf, entries[i].off); err != nil {
-			return dst, err
-		}
-		// Decode into pooled scratch and append only the matches: dst holds
-		// result segments only, never a whole span awaiting its filter.
-		scratch, err := decodeRecordRange((*scratchp)[:0], buf)
-		if err != nil {
-			return dst, err
-		}
-		*scratchp = scratch[:0]
-		for _, sg := range scratch {
-			if sg.End.T >= from && sg.Start.T <= to {
-				dst = append(dst, sg)
-			}
-		}
-		i = j
-	}
-	return dst, nil
-}
-
-// fetchGranule preads and decodes one entry span — the granule cache's
-// miss path. The pread buffer is pooled; the decoded slice is freshly
-// allocated, since the cache will retain it.
-func (s *Store) fetchGranule(f file, off, end int64) ([]traj.Segment, error) {
-	bufp := getReadBuf()
-	defer putReadBuf(bufp)
-	buf := growBuf(bufp, int(end-off))
-	if err := s.preadFull(f, buf, off); err != nil {
-		return nil, err
-	}
-	return decodeRecordRange(nil, buf)
-}
-
 // SegmentAt returns the persisted segment covering time t for device —
 // the piecewise answer to "where was the device at t" (interpolate with
 // Segment.At). When overlapping history covers t more than once (a
@@ -421,113 +381,43 @@ func (s *Store) SegmentAt(device string, t int64) (traj.Segment, error) {
 		return traj.Segment{}, err
 	}
 	defer snap.release()
-	// Newest file first: on overlap the latest append wins, and the common
-	// "where is it now" probe touches only the live file.
-	for i := len(snap.seqs) - 1; i >= 0; i-- {
-		seg, ok, err := s.fileAt(snap, snap.seqs[i], t)
+	// Newest file first, newest entry first: on overlap the latest append
+	// wins, and the common "where is it now" probe touches only the live
+	// file — normally one span, and none at all when it is cached.
+	var seg traj.Segment
+	found := false
+	for i := len(snap.seqs) - 1; i >= 0 && !found; i-- {
+		p, err := s.plan(snap, snap.seqs[i], t, t)
 		if err != nil {
 			return traj.Segment{}, err
 		}
-		if ok {
-			return seg, nil
-		}
-	}
-	return traj.Segment{}, ErrNoPosition
-}
-
-// fileAt finds the last-appended segment of file seq covering time t,
-// with the same rebuild-and-retry contract as fileRange.
-func (s *Store) fileAt(snap *readSnap, seq int, t int64) (traj.Segment, bool, error) {
-	for attempt := 0; ; attempt++ {
-		fi, err := snap.index(s, seq)
-		if err != nil {
-			return traj.Segment{}, false, err
-		}
-		seg, ok, err := s.segmentAtSpans(snap, seq, fi, t)
-		if err == nil {
-			return seg, ok, nil
-		}
-		if attempt > 0 || seq == snap.tailSeq() {
-			return traj.Segment{}, false, fmt.Errorf("%w: indexed read: %v (%s)", ErrCorrupt, err, snap.l.path(seq))
-		}
-		snap.dropIndex(s, seq)
-	}
-}
-
-// segmentAtSpans probes file seq's entries newest-first for a segment
-// covering t, decoding one entry span per probe — normally exactly one,
-// and none at all when the span is cached.
-func (s *Store) segmentAtSpans(snap *readSnap, seq int, fi fileIndex, t int64) (traj.Segment, bool, error) {
-	entries := fi.entries
-	lo, hi := selectEntries(entries, t, t)
-	var f file
-	defer func() {
-		if f != nil {
-			f.Close()
-		}
-	}()
-	var bufp *[]byte
-	var scratchp *[]traj.Segment
-	defer func() {
-		if bufp != nil {
-			putReadBuf(bufp)
-		}
-		if scratchp != nil {
-			putSegScratch(scratchp)
-		}
-	}()
-	for i := hi - 1; i >= lo; i-- {
-		if !entries[i].overlaps(t, t) {
-			continue
-		}
-		off, end := entries[i].off, entryEnd(fi, i)
-		var segs []traj.Segment
-		var err error
-		if s.cache != nil {
-			key := granuleKey{snap.device, seq, off, end}
-			var ok bool
-			if segs, ok = s.cache.get(key); !ok {
-				segs, err = s.cache.load(key, func() ([]traj.Segment, error) {
-					if f == nil {
-						var oerr error
-						if f, oerr = s.fs.Open(snap.l.path(seq)); oerr != nil {
-							return nil, oerr
-						}
-					}
-					return s.fetchGranule(f, off, end)
-				})
+		err = s.readPlan(snap, p, t, t, func(p spanPlan) error {
+			for k := p.hi - 1; k >= p.lo; k-- {
+				e := p.fi.entries[k]
+				if !e.overlaps(t, t) {
+					continue
+				}
+				segs, err := s.span(snap, p.seq, e.off, entryEnd(p.fi, k))
 				if err != nil {
-					return traj.Segment{}, false, err
+					return err
+				}
+				for j := len(segs) - 1; j >= 0; j-- {
+					if segs[j].Start.T <= t && t <= segs[j].End.T {
+						seg, found = segs[j], true
+						return nil
+					}
 				}
 			}
-		} else {
-			if f == nil {
-				if f, err = s.fs.Open(snap.l.path(seq)); err != nil {
-					return traj.Segment{}, false, err
-				}
-			}
-			if bufp == nil {
-				bufp = getReadBuf()
-			}
-			if scratchp == nil {
-				scratchp = getSegScratch()
-			}
-			buf := growBuf(bufp, int(end-off))
-			if err := s.preadFull(f, buf, off); err != nil {
-				return traj.Segment{}, false, err
-			}
-			if segs, err = decodeRecordRange((*scratchp)[:0], buf); err != nil {
-				return traj.Segment{}, false, err
-			}
-			*scratchp = segs[:0]
-		}
-		for k := len(segs) - 1; k >= 0; k-- {
-			if segs[k].Start.T <= t && t <= segs[k].End.T {
-				return segs[k], true, nil
-			}
+			return nil
+		})
+		if err != nil {
+			return traj.Segment{}, err
 		}
 	}
-	return traj.Segment{}, false, nil
+	if !found {
+		return traj.Segment{}, ErrNoPosition
+	}
+	return seg, nil
 }
 
 // decodeRecordRange appends the segments of consecutive whole records in
@@ -559,51 +449,4 @@ func (s *Store) preadFull(f file, b []byte, off int64) error {
 		err = io.ErrUnexpectedEOF
 	}
 	return err
-}
-
-// Pooled pread scratch: every span read in the package borrows a buffer
-// here instead of allocating per query. Buffers that grew past
-// maxPooledReadBuf (a cold full-log replay can read big spans) are
-// dropped rather than pinned in the pool forever.
-const maxPooledReadBuf = 1 << 20
-
-var readBufPool = sync.Pool{New: func() any {
-	b := make([]byte, 0, 64<<10)
-	return &b
-}}
-
-func getReadBuf() *[]byte { return readBufPool.Get().(*[]byte) }
-
-func putReadBuf(p *[]byte) {
-	if cap(*p) <= maxPooledReadBuf {
-		readBufPool.Put(p)
-	}
-}
-
-// Pooled decode scratch for the uncached span readers, same idea at the
-// segment level: a span decodes here, only the in-range segments move to
-// the caller's result.
-const maxPooledSegScratch = 16 << 10 // segments; ~1 MiB
-
-var segScratchPool = sync.Pool{New: func() any {
-	s := make([]traj.Segment, 0, 256)
-	return &s
-}}
-
-func getSegScratch() *[]traj.Segment { return segScratchPool.Get().(*[]traj.Segment) }
-
-func putSegScratch(p *[]traj.Segment) {
-	if cap(*p) <= maxPooledSegScratch {
-		segScratchPool.Put(p)
-	}
-}
-
-// growBuf returns a length-n buffer backed by *p, growing (and
-// remembering) the backing array as needed.
-func growBuf(p *[]byte, n int) []byte {
-	if cap(*p) < n {
-		*p = make([]byte, n)
-	}
-	*p = (*p)[:n]
-	return *p
 }

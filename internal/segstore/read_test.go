@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 
 	"trajsim/internal/gen"
@@ -571,5 +572,83 @@ func TestRetentionDropsSidecarsWithFiles(t *testing.T) {
 	}
 	if st := s.Stats(); st.DeletedFiles == 0 {
 		t.Fatalf("retention deleted nothing: %+v", st)
+	}
+}
+
+// preadSizeFS is osFS with query-path files that record the largest
+// single ReadAt they serve.
+type preadSizeFS struct {
+	osFS
+	largest atomic.Int64
+}
+
+func (p *preadSizeFS) Open(name string) (file, error) {
+	f, err := p.osFS.Open(name)
+	if err != nil {
+		return nil, err
+	}
+	return &preadSizeFile{file: f, largest: &p.largest}, nil
+}
+
+type preadSizeFile struct {
+	file
+	largest *atomic.Int64
+}
+
+func (f *preadSizeFile) ReadAt(b []byte, off int64) (int, error) {
+	for n := int64(len(b)); ; {
+		cur := f.largest.Load()
+		if n <= cur || f.largest.CompareAndSwap(cur, n) {
+			break
+		}
+	}
+	return f.file.ReadAt(b, off)
+}
+
+// TestUncachedReplayPreadsOneSpan: with the cache off, Replay reads one
+// index-entry span per pread, however large the file — the memory bound
+// Replay documents. A single ~790 KB file of about a dozen 64 KiB
+// entries must never be read in one piece.
+func TestUncachedReplayPreadsOneSpan(t *testing.T) {
+	ffs := &preadSizeFS{}
+	s, err := openFS(Config{Dir: t.TempDir(), Sync: SyncNever}, ffs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	const dev = "big"
+	segs := syntheticSegs(64 << 10)
+	appendInChunks(t, s, dev, segs, 64)
+
+	snap, err := s.snapshot(dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(snap.seqs) != 1 {
+		t.Fatalf("log spans %d files, want 1", len(snap.seqs))
+	}
+	fi, err := snap.index(s, snap.tailSeq())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var largestSpan int64
+	for i := range fi.entries {
+		largestSpan = max(largestSpan, entryEnd(fi, i)-fi.entries[i].off)
+	}
+	entries, fileLen := len(fi.entries), fi.dataLen
+	snap.release() // fi aliases the pooled snapshot's tail copy
+	if entries < 8 {
+		t.Fatalf("%d index entries over %d bytes: too few to tell one span from the file", entries, fileLen)
+	}
+
+	got, err := s.Replay(dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !segsEqual(got, segs) {
+		t.Fatalf("replayed %d segments, appended %d", len(got), len(segs))
+	}
+	if p := ffs.largest.Load(); p == 0 || p > largestSpan {
+		t.Fatalf("largest pread %d bytes; largest entry span %d, file %d", p, largestSpan, fileLen)
 	}
 }
