@@ -861,6 +861,12 @@ func (s *server) handleDeviceSegments(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("inverted range: from=%d > to=%d", from, to), http.StatusBadRequest)
 		return
 	}
+	// Reject a bad format before the log is read.
+	out := r.URL.Query().Get("out")
+	if out != "" && out != "segments" && out != "sgb1" {
+		http.Error(w, "unknown out format (segments, sgb1)", http.StatusBadRequest)
+		return
+	}
 	if !haveFrom {
 		from = math.MinInt64
 	}
@@ -882,13 +888,7 @@ func (s *server) handleDeviceSegments(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "no persisted segments for device "+device, http.StatusNotFound)
 		return
 	}
-	switch r.URL.Query().Get("out") {
-	case "", "segments":
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		if err := writeSegments(w, device, segs); err != nil {
-			log.Printf("devices/segments: write: %v", err)
-		}
-	case "sgb1":
+	if out == "sgb1" {
 		// The segment-batch encoding carries Start and End explicitly, so
 		// it is closed under range filtering and holds a log spanning
 		// several encoder sessions — what the welded piecewise encoding
@@ -897,8 +897,11 @@ func (s *server) handleDeviceSegments(w http.ResponseWriter, r *http.Request) {
 		if _, err := w.Write(trajio.AppendSegments(nil, segs)); err != nil {
 			log.Printf("devices/segments: write: %v", err)
 		}
-	default:
-		http.Error(w, "unknown out format (segments, sgb1)", http.StatusBadRequest)
+		return
+	}
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	if err := writeSegments(w, device, segs); err != nil {
+		log.Printf("devices/segments: write: %v", err)
 	}
 }
 

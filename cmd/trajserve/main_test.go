@@ -661,7 +661,9 @@ func segmentsURL(srv *httptest.Server, dev string) string {
 }
 
 func TestDeviceSegmentsEndpoint(t *testing.T) {
-	srv, _ := persistentServer(t, t.TempDir())
+	srv, _ := persistentServerCfg(t, segstore.Config{
+		Dir: t.TempDir(), Sync: segstore.SyncAlways, ReadCacheBytes: segstore.DefaultReadCacheBytes,
+	})
 	const dev = "cab 7" // exercises path escaping end to end
 	tr := gen.One(gen.Taxi, 300, 54)
 	body := deviceCSV(map[string][]traj.Point{dev: tr})
@@ -677,6 +679,24 @@ func TestDeviceSegmentsEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
+
+	// A bad out → 400, decided before the log is read. The piecewise
+	// encoding (out=binary) is /compress-only: a stored log may span
+	// several encoder sessions, which it cannot represent.
+	before := storeStats(t, srv)
+	for _, out := range []string{"weird", "binary"} {
+		if resp, err = http.Get(segmentsURL(srv, dev) + "?out=" + out); err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("out=%s: status %d, want 400", out, resp.StatusCode)
+		}
+	}
+	if after := storeStats(t, srv); after.ReadBytes != before.ReadBytes || after.ReadCacheMiss != before.ReadCacheMiss {
+		t.Errorf("a rejected out read the log: read_bytes %d -> %d, read_cache_misses %d -> %d",
+			before.ReadBytes, after.ReadBytes, before.ReadCacheMiss, after.ReadCacheMiss)
+	}
 
 	// NDJSON replay covers the whole upload within ζ.
 	resp, err = http.Get(segmentsURL(srv, dev))
@@ -724,24 +744,13 @@ func TestDeviceSegmentsEndpoint(t *testing.T) {
 		t.Error(err)
 	}
 
-	// Unknown device and bad out → 404 / 400. The piecewise encoding
-	// (out=binary) is /compress-only: a stored log may span several
-	// encoder sessions, which it cannot represent.
+	// Unknown device → 404.
 	if resp, err = http.Get(segmentsURL(srv, "nobody")); err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown device: status %d, want 404", resp.StatusCode)
-	}
-	for _, out := range []string{"weird", "binary"} {
-		if resp, err = http.Get(segmentsURL(srv, dev) + "?out=" + out); err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("out=%s: status %d, want 400", out, resp.StatusCode)
-		}
 	}
 }
 

@@ -7,7 +7,8 @@ import "testing"
 // (16384 segments in 64 KiB files): a warm cached SegmentAt allocates
 // nothing, a warm cached window only its result, and an uncached window
 // at most 6: the result, plus the path and descriptor of the one file it
-// opens.
+// opens. A window whose miss the cache declines costs what an uncached
+// one does.
 func TestReadPathAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under -race")
@@ -29,6 +30,25 @@ func TestReadPathAllocs(t *testing.T) {
 		}
 	}
 	cold, warm := build(0), build(64<<20)
+	// declined holds two of the log's 64 KiB files' granules, the first
+	// and third file's (~380 KB decoded each), and has no room for a
+	// third: the window's span in the second file, read as often as they
+	// are, is never more frequent than the LRU victim, so every window
+	// read is a declined miss. A plain LRU would thrash on this cycle of
+	// three granules, missing every time.
+	declined := build(1 << 20)
+	hot := []int64{segs[10].Start.T, segs[11000].Start.T}
+	probeHot := func() {
+		for _, tm := range hot {
+			if _, err := declined.SegmentAt("dev", tm); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for i := 0; i < 4; i++ {
+		probeHot()
+	}
+	declinedWindow := window(declined)
 	for _, c := range []struct {
 		name string
 		max  float64
@@ -41,10 +61,14 @@ func TestReadPathAllocs(t *testing.T) {
 		}},
 		{"warm/window", 1, window(warm)},
 		{"cold/window", 6, window(cold)},
+		{"declined/window", 6, func() { declinedWindow(); probeHot() }},
 	} {
 		c.f() // prime the cache and the pools
 		if got := testing.AllocsPerRun(100, c.f); got > c.max {
 			t.Errorf("%s: %.1f allocs per query, want at most %.0f", c.name, got, c.max)
 		}
+	}
+	if st := declined.Stats(); st.ReadCacheDeclined < 101 {
+		t.Errorf("declined/window: %d declined misses, want one per window read: %+v", st.ReadCacheDeclined, st)
 	}
 }

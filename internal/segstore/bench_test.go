@@ -2,8 +2,13 @@ package segstore
 
 import (
 	"fmt"
+	"math/rand/v2"
 	"sync"
 	"testing"
+
+	"trajsim/internal/enc"
+	"trajsim/internal/gen"
+	"trajsim/internal/traj"
 )
 
 // BenchmarkAppendColdHandle measures the cost the MaxOpenFiles LRU adds
@@ -164,7 +169,10 @@ func BenchmarkReplayRange(b *testing.B) {
 // cold (ReadCacheBytes=0 — every query preads and decodes its spans)
 // versus warm (cached granules — no I/O at all), at 1 and 8 concurrent
 // readers hammering ONE device: the workload the per-device lock used
-// to serialize end to end.
+// to serialize end to end. thrash spreads 16-segment windows uniformly
+// over 256 devices whose decoded spans total 8× its 1 MiB budget: a
+// working set the cache cannot hold, where a miss should cost what a
+// cold read does.
 func BenchmarkReplayRangeHot(b *testing.B) {
 	const n = 16384
 	segs := syntheticSegs(n)
@@ -232,5 +240,60 @@ func BenchmarkReplayRangeHot(b *testing.B) {
 				}
 			})
 		}
+	}
+
+	const devices, perDevice = 256, 470 // ~34 KB decoded a device, one span each
+	s, err := Open(Config{Dir: b.TempDir(), Sync: SyncNever, ReadCacheBytes: 1 << 20})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { s.Close() })
+	hist := syntheticSegs(perDevice)
+	names := make([]string, devices)
+	for d := range names {
+		names[d] = fmt.Sprintf("dev-%03d", d)
+		appendInChunks(b, s, names[d], hist, 30)
+	}
+	b.Run("thrash", func(b *testing.B) {
+		b.ReportAllocs()
+		r := rand.New(rand.NewPCG(1, 2))
+		for i := 0; i < b.N; i++ {
+			k := r.IntN(perDevice - 16)
+			got, err := s.ReplayRange(names[r.IntN(devices)], hist[k].Start.T+1, hist[k+15].End.T-1)
+			if err != nil || len(got) != 16 {
+				b.Fatalf("%d segments, %v", len(got), err)
+			}
+		}
+	})
+}
+
+// BenchmarkDecodeSpan pins the record decoder that every span read pays
+// for, cached or not: one 470-segment index-entry span of a simplified
+// taxi trajectory, framed as 16 records of up to 30 segments (what a
+// device ingesting 256-point batches writes), decoded into a reused
+// scratch slice. The reference case runs the decoder the in-place one
+// replaced (record_ref_test.go).
+func BenchmarkDecodeSpan(b *testing.B) {
+	segs := simplified(b, gen.Taxi, 6000, 47)[:470]
+	var span []byte
+	for off := 0; off < len(segs); off += 30 {
+		span = enc.AppendFrame(span, appendRecordPayload(nil, segs[off:min(off+30, len(segs))]))
+	}
+	for _, c := range []struct {
+		name   string
+		decode func([]traj.Segment, []byte) ([]traj.Segment, error)
+	}{{"inplace", decodeRecordRange}, {"reference", refDecodeRecordRange}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(span)))
+			var scratch []traj.Segment
+			for i := 0; i < b.N; i++ {
+				got, err := c.decode(scratch[:0], span)
+				if err != nil || len(got) != len(segs) {
+					b.Fatalf("%d segments, %v", len(got), err)
+				}
+				scratch = got
+			}
+		})
 	}
 }

@@ -2,6 +2,7 @@ package segstore
 
 import (
 	"container/list"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -28,6 +29,20 @@ import (
 // do, see compact.go) call invalidateFile before the offsets can be
 // reused.
 //
+// Admission is TinyLFU (Einziger et al., "TinyLFU: A Highly Efficient
+// Cache Admission Policy", ACM ToS 2017). Every access — hit or miss —
+// counts its key in a small count-min sketch sized from the budget and
+// aged by halving after a fixed number of accesses. A miss whose span
+// fits in what is left of the budget is admitted, as any miss is while
+// the cache fills. Once the budget is reached, a miss is admitted only
+// when its estimated frequency is higher than the LRU victim's; any
+// other miss is declined. A declined miss is served the way a cache-off
+// read is — pread into the reader's buffer, decode into its scratch — so
+// a working set far larger than the budget costs what no cache would,
+// instead of allocating, admitting and evicting a granule per read that
+// is rarely read again. A one-pass scan cannot flush a hot set: its
+// granules are each seen once.
+//
 // Cached slices are immutable: readers copy segments out (an append of
 // struct values, no decode), SegmentAt scans them in place. A granule is
 // only inserted after a successful CRC-checked decode of exactly its key
@@ -35,16 +50,37 @@ import (
 // names — the coherence oracle test (cache_test.go) checks this against
 // a raw rescan after every mutation the store supports.
 //
-// Concurrent misses on one key are collapsed by a per-key singleflight:
-// the first reader does the pread+decode, the rest wait and share the
-// result. Hits count reads served without I/O (including singleflight
-// waiters); misses count actual pread+decode fetches.
+// Concurrent admitted misses on one key are collapsed by a per-key
+// singleflight: the first reader does the pread+decode, the rest wait
+// and share the result. Hits count reads served without I/O (including
+// singleflight waiters); misses count actual pread+decode fetches,
+// declined ones included.
 
 // granuleKey names one immutable decoded byte span of a log file.
 type granuleKey struct {
 	device   string
 	seq      int
 	off, end int64
+}
+
+// hash is the key's sketch hash: FNV-1a over the device, then the
+// numeric fields folded in through a 64-bit finalizer. It is a fixed
+// function of the key, so admission decisions replay across runs.
+func (k granuleKey) hash() uint64 {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(k.device); i++ {
+		h = (h ^ uint64(k.device[i])) * 1099511628211
+	}
+	h = mix64(h ^ uint64(k.seq))
+	h = mix64(h ^ uint64(k.off))
+	return mix64(h ^ uint64(k.end))
+}
+
+// mix64 is the splitmix64 finalizer.
+func mix64(h uint64) uint64 {
+	h = (h ^ h>>30) * 0xbf58476d1ce4e5b9
+	h = (h ^ h>>27) * 0x94d049bb133111eb
+	return h ^ h>>31
 }
 
 // fileKey names a whole log file, the invalidation granularity.
@@ -80,6 +116,12 @@ func granuleCost(segs []traj.Segment) int64 {
 	return granuleOverhead + int64(cap(segs))*segmentBytes
 }
 
+// maxGranuleCost bounds the cost of a span of n bytes before it is read:
+// a segment takes nine varints, at least a byte each, on disk.
+func maxGranuleCost(n int64) int64 {
+	return granuleOverhead + n/9*segmentBytes
+}
+
 // granuleCache is the store-wide decoded-granule LRU. All fields are
 // guarded by mu except the counters; it takes no other lock, so it nests
 // freely inside deviceLog.mu (invalidateFile runs under it) and is never
@@ -93,9 +135,11 @@ type granuleCache struct {
 	byFile   map[fileKey]map[granuleKey]*granule //trajlint:guardedby mu
 	inflight map[granuleKey]*inflightGranule     //trajlint:guardedby mu
 	bytes    int64                               //trajlint:guardedby mu
+	freq     sketch                              //trajlint:guardedby mu
 
-	hits   atomic.Int64
-	misses atomic.Int64
+	hits     atomic.Int64
+	misses   atomic.Int64
+	declined atomic.Int64
 }
 
 func newGranuleCache(budget int64) *granuleCache {
@@ -104,30 +148,52 @@ func newGranuleCache(budget int64) *granuleCache {
 		byKey:    make(map[granuleKey]*granule),
 		byFile:   make(map[fileKey]map[granuleKey]*granule),
 		inflight: make(map[granuleKey]*inflightGranule),
+		freq:     newSketch(budget),
 	}
 }
 
-// get returns key's decoded span if resident — the hot path, taken
-// before the caller even builds a fetch closure, so a cached query
-// allocates nothing here. The returned slice is shared and read-only.
-func (c *granuleCache) get(key granuleKey) ([]traj.Segment, bool) {
+// get counts one access of key and returns its decoded span if resident
+// — the hot path, taken before the caller even builds a fetch closure,
+// so a cached query allocates nothing here. The returned slice is shared
+// and read-only. On a miss, admit reports whether the span, spanBytes
+// long on disk, should be fetched through load and kept; a declined
+// miss is counted here, and the caller reads it without the cache.
+func (c *granuleCache) get(key granuleKey, spanBytes int64) (segs []traj.Segment, hit, admit bool) {
+	h := key.hash()
 	c.mu.Lock()
-	g, ok := c.byKey[key]
-	if ok {
+	c.freq.add(h)
+	if g, ok := c.byKey[key]; ok {
 		c.ll.MoveToFront(g.elem)
+		c.mu.Unlock()
+		c.hits.Add(1)
+		return g.segs, true, true
 	}
+	admit = c.inflight[key] != nil || c.admitLocked(h, spanBytes)
 	c.mu.Unlock()
-	if !ok {
-		return nil, false
+	if !admit {
+		c.misses.Add(1)
+		c.declined.Add(1)
 	}
-	c.hits.Add(1)
-	return g.segs, true
+	return nil, false, admit
 }
 
-// load returns key's decoded span, fetching (and caching) it on a miss.
-// fetch runs with no cache lock held; concurrent loads of the same key
-// share one fetch. The returned slice is shared and must be treated as
-// read-only.
+// admitLocked is the TinyLFU admission test for a missed span: admit it
+// while it fits in the unused budget, else only if it is more frequent
+// than the LRU victim it would displace. Caller holds c.mu.
+//
+//trajlint:holds c.mu
+func (c *granuleCache) admitLocked(h uint64, spanBytes int64) bool {
+	if c.bytes+maxGranuleCost(spanBytes) <= c.budget {
+		return true
+	}
+	back := c.ll.Back()
+	return back == nil || c.freq.estimate(h) > c.freq.estimate(back.Value.(*granule).key.hash())
+}
+
+// load returns key's decoded span, fetching (and caching) it on a miss
+// that get admitted. fetch runs with no cache lock held and must return
+// a slice the cache can keep; concurrent loads of the same key share one
+// fetch. The returned slice is shared and must be treated as read-only.
 func (c *granuleCache) load(key granuleKey, fetch func() ([]traj.Segment, error)) ([]traj.Segment, error) {
 	c.mu.Lock()
 	if g, ok := c.byKey[key]; ok {
@@ -241,6 +307,13 @@ func (c *granuleCache) missCount() int64 {
 	return c.misses.Load()
 }
 
+func (c *granuleCache) declinedCount() int64 {
+	if c == nil {
+		return 0
+	}
+	return c.declined.Load()
+}
+
 // sizeBytes reports the resident decoded bytes.
 func (c *granuleCache) sizeBytes() int64 {
 	if c == nil {
@@ -249,4 +322,73 @@ func (c *granuleCache) sizeBytes() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.bytes
+}
+
+// sketch is TinyLFU's frequency filter: a count-min sketch of 4-bit
+// counters (held in bytes, saturating at 15). A key's four counters, one
+// per row, lie in one 64-byte block chosen by its hash — sixteen
+// counters of each row per block, as in Caffeine's sketch — so counting
+// an access touches one cache line. After sample accesses every counter
+// is halved, so estimates follow what is popular now rather than what
+// ever was.
+type sketch struct {
+	counts []uint8 // blocks of 64 counters: 16 per row
+	blocks uint64  // a power of two
+	n      int     // accesses counted since the last halving, halved with it
+	sample int
+}
+
+const (
+	// The sketch is sized for entries = budget/sketchGranule granules
+	// (at least sketchMinEntries): it halves its counters after 10 ×
+	// entries accesses, the sample TinyLFU prescribes, and each row has
+	// one counter per access in a sample, rounded up to a power of two —
+	// one byte per counter, four rows: under 1% of any budget from 128 KiB
+	// up. 8 KiB is a small granule, so entries errs high and the sketch
+	// ages slowly; a granule read again after a pause keeps its count. On
+	// servebench's mixed-live workload it admitted better than 32 KiB, the
+	// decoded size of its typical span (granule hit ratio 0.16–0.18
+	// against 0.13–0.15, seeds 3003–3005).
+	sketchGranule    = 8 << 10
+	sketchMinEntries = 16
+	sketchMaxCount   = 15
+)
+
+func newSketch(budget int64) sketch {
+	entries := max(budget/sketchGranule, sketchMinEntries)
+	sample := 10 * entries
+	width := uint64(1) << bits.Len64(uint64(sample-1)) // counters per row
+	return sketch{counts: make([]uint8, 4*width), blocks: width / 16, sample: int(sample)}
+}
+
+// slot returns the index of h's counter in row r: the low bits of h pick
+// the block, four bits of its high half the counter in the row's
+// sixteen.
+func (f *sketch) slot(h uint64, r int) uint64 {
+	return (h&(f.blocks-1))<<6 | uint64(r)<<4 | h>>(32+4*r)&15
+}
+
+// add counts one access of h.
+func (f *sketch) add(h uint64) {
+	for r := 0; r < 4; r++ {
+		if i := f.slot(h, r); f.counts[i] < sketchMaxCount {
+			f.counts[i]++
+		}
+	}
+	if f.n++; f.n >= f.sample {
+		for i := range f.counts {
+			f.counts[i] >>= 1
+		}
+		f.n /= 2
+	}
+}
+
+// estimate returns h's recent access count: the smallest of its four
+// counters, which collisions can only inflate.
+func (f *sketch) estimate(h uint64) uint8 {
+	est := uint8(sketchMaxCount)
+	for r := 0; r < 4; r++ {
+		est = min(est, f.counts[f.slot(h, r)])
+	}
+	return est
 }

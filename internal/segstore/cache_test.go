@@ -113,9 +113,11 @@ func verifyAgainstRaw(t *testing.T, s *Store, dir, dev string) {
 // answer matches a raw decode of the bytes on disk. Queries read through
 // one span function whether or not the cache is on, so the oracle runs
 // in both modes: with the cache off every answer comes from disk, with
-// it on the second pass comes from cached granules.
+// it on the second pass comes from cached granules. The 4 KiB budget
+// holds a handful of per-record granules, so that cache is full and
+// declining most misses, which read through the cache-off path.
 func TestReadCacheCoherenceOracle(t *testing.T) {
-	for _, cacheBytes := range []int64{0, 1 << 20} {
+	for _, cacheBytes := range []int64{0, 4 << 10, 1 << 20} {
 		t.Run(fmt.Sprintf("cache=%d", cacheBytes), func(t *testing.T) {
 			dir := t.TempDir()
 			s := openStore(t, Config{
@@ -184,6 +186,9 @@ func TestReadCacheCoherenceOracle(t *testing.T) {
 			st := s.Stats()
 			if cacheBytes > 0 && (st.ReadCacheHits == 0 || st.ReadCacheMiss == 0) {
 				t.Fatalf("cache never exercised: %+v", st)
+			}
+			if cacheBytes == 4<<10 && st.ReadCacheDeclined == 0 {
+				t.Fatalf("a full cache never declined a miss: %+v", st)
 			}
 			if st.DeletedFiles == 0 {
 				t.Fatalf("size-budget deletes never fired — shrink MaxLogBytes: %+v", st)
@@ -269,6 +274,88 @@ func TestReadCacheBudgetEviction(t *testing.T) {
 		if st := s.Stats(); st.ReadCacheBytes > budget {
 			t.Fatalf("resident %d over budget %d", st.ReadCacheBytes, budget)
 		}
+	}
+}
+
+// TestReadCacheScanResistance: a hot set that fits the budget, read a
+// few times, survives a one-pass scan over four times the budget — each
+// scanned granule is seen once, never more often than the hot LRU
+// victim, so the cache declines it — and re-reading the hot set does no
+// I/O. A plain LRU admits the scan and evicts the hot set. Declines
+// start only once the scan overflows the budget.
+func TestReadCacheScanResistance(t *testing.T) {
+	const budget = 64 << 10
+	s := openStore(t, Config{Sync: SyncNever, SyncEvery: time.Hour, ReadCacheBytes: budget})
+	s.idxGran = 1 // per-record granules
+	hot := syntheticSegs(160)
+	appendInChunks(t, s, "hot", hot, 16) // 10 granules, ~14 KiB decoded
+	scan := syntheticSegs(4 * budget / int(segmentBytes))
+	appendInChunks(t, s, "scan", scan, 64) // 4× the budget decoded
+
+	readHot := func() {
+		t.Helper()
+		got, err := s.Replay("hot")
+		if err != nil || !segsEqual(got, hot) {
+			t.Fatalf("hot replay: %d segments, %v", len(got), err)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		readHot()
+	}
+	st1 := s.Stats()
+	if st1.ReadCacheDeclined != 0 {
+		t.Fatalf("declined %d misses while the working set fits: %+v", st1.ReadCacheDeclined, st1)
+	}
+
+	if got, err := s.Replay("scan"); err != nil || !segsEqual(got, scan) {
+		t.Fatalf("scan: %d segments, %v", len(got), err)
+	}
+	st2 := s.Stats()
+	if st2.ReadCacheDeclined == 0 {
+		t.Fatalf("the scan overflowed the budget without a decline: %+v", st2)
+	}
+
+	readHot()
+	if st3 := s.Stats(); st3.ReadBytes != st2.ReadBytes {
+		t.Fatalf("the scan evicted the hot set: ReadBytes %d -> %d re-reading it", st2.ReadBytes, st3.ReadBytes)
+	}
+}
+
+// TestReadCacheSingleflight: concurrent misses on one admitted granule
+// do one fetch — one miss, one span's bytes read — and every reader
+// gets the same answer.
+func TestReadCacheSingleflight(t *testing.T) {
+	dir := t.TempDir()
+	s := openStore(t, Config{Dir: dir, Sync: SyncNever, SyncEvery: time.Hour, ReadCacheBytes: 64 << 20})
+	const dev = "shared"
+	segs := syntheticSegs(4000)
+	appendInChunks(t, s, dev, segs, 500) // one file, one index entry
+	fi, err := os.Stat(filepath.Join(dir, escapeDevice(dev), fileName(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	before := s.Stats()
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 8; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			if got, err := s.Replay(dev); err != nil || !segsEqual(got, segs) {
+				t.Errorf("replay: %d segments, %v", len(got), err)
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	after := s.Stats()
+	if miss := after.ReadCacheMiss - before.ReadCacheMiss; miss != 1 {
+		t.Errorf("%d misses, want 1", miss)
+	}
+	if read, span := after.ReadBytes-before.ReadBytes, fi.Size()-int64(len(fileMagic)); read != span {
+		t.Errorf("read %d bytes, want one %d-byte span", read, span)
 	}
 }
 

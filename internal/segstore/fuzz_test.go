@@ -4,6 +4,10 @@ import (
 	"errors"
 	"path/filepath"
 	"testing"
+
+	"trajsim/internal/enc"
+	"trajsim/internal/gen"
+	"trajsim/internal/traj"
 )
 
 // FuzzEscapeDeviceRoundTrip: directory names are the store's only
@@ -88,6 +92,54 @@ func FuzzDecodeIndex(f *testing.F) {
 		again := appendIndexFile(nil, dataLen, entries)
 		if string(again) != string(b) {
 			t.Fatalf("accepted sidecar is not canonical:\n in %x\nout %x", b, again)
+		}
+	})
+}
+
+// FuzzDecodeRecordRange holds the in-place record decoder to the
+// reference decoder it replaced (record_ref_test.go). Every input is
+// decoded twice — as a span of framed records, the way a read hands it
+// over, and as one bare payload, which the CRC would otherwise keep the
+// fuzzer away from — into an empty and into a non-empty destination.
+// The decoder must never panic, must return the reference's segments,
+// and must fail exactly when the reference fails, with the same error.
+func FuzzDecodeRecordRange(f *testing.F) {
+	f.Add([]byte{})
+	seed := func(segs []traj.Segment, chunk int) {
+		var span []byte
+		for off := 0; off < len(segs); off += chunk {
+			payload := appendRecordPayload(nil, segs[off:min(off+chunk, len(segs))])
+			f.Add(payload)
+			span = enc.AppendFrame(span, payload)
+		}
+		f.Add(span)
+	}
+	seed(syntheticSegs(40), 16)
+	for i, p := range gen.Presets {
+		seed(simplified(f, p, 600, uint64(70+i)), 32)
+	}
+	prefix := syntheticSegs(2)
+	f.Fuzz(func(t *testing.T, b []byte) {
+		for _, c := range []struct {
+			name      string
+			got, want func([]traj.Segment, []byte) ([]traj.Segment, error)
+		}{
+			{"range", decodeRecordRange, refDecodeRecordRange},
+			{"payload", decodeRecordPayload, refDecodeRecordPayload},
+		} {
+			for _, dst := range []func() []traj.Segment{
+				func() []traj.Segment { return nil },
+				func() []traj.Segment { return append(make([]traj.Segment, 0, 8), prefix...) },
+			} {
+				got, err := c.got(dst(), b)
+				want, wantErr := c.want(dst(), b)
+				if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
+					t.Fatalf("%s: error %v, reference %v", c.name, err, wantErr)
+				}
+				if !segsEqual(got, want) {
+					t.Fatalf("%s: %d segments, reference %d", c.name, len(got), len(want))
+				}
+			}
 		}
 	})
 }

@@ -32,11 +32,12 @@ import (
 //
 // Every query reads through one function, span: the decoded segments of
 // one index-entry span. With Config.ReadCacheBytes set it serves the
-// span from the granule cache (cache.go), decoding it once on a miss —
-// a hot SegmentAt or ReplayRange over cached granules does no I/O at
-// all. With the cache off it preads that one span into the snapshot's
-// buffer and decodes into the snapshot's scratch, so a query holds one
-// span in memory at a time besides its result.
+// span from the granule cache (cache.go), decoding it once on a miss the
+// cache admits — a hot SegmentAt or ReplayRange over cached granules
+// does no I/O at all. With the cache off, or on a miss the cache
+// declines, it preads that one span into the snapshot's buffer and
+// decodes into the snapshot's scratch, so a query holds one span in
+// memory at a time besides its result.
 
 // ErrNoPosition is returned by SegmentAt when no persisted segment
 // covers the requested time.
@@ -190,29 +191,37 @@ func (s *Store) readPlan(snap *readSnap, p spanPlan, from, to int64, read func(s
 
 // span returns the decoded segments of file seq's index-entry span
 // [off, end) — the one place the read path decides between the granule
-// cache and the disk. A cached span is shared and read-only; an
-// uncached one lives in the snapshot's scratch, valid until the next
-// span call. Either way the caller must not modify or keep it.
+// cache and the disk. A hit is served from the cache. A miss the cache
+// admits (cache.go) is fetched once through its singleflight and kept
+// at exact length. A miss it declines, and every read with the cache
+// off, preads the span into the snapshot's buffer and decodes it into
+// the snapshot's scratch: no fresh slice, no singleflight slot, no
+// eviction. A cached span is shared and read-only; an uncached one is
+// valid until the next span call. Either way the caller must not modify
+// or keep it.
 func (s *Store) span(snap *readSnap, seq int, off, end int64) ([]traj.Segment, error) {
-	if s.cache == nil {
-		segs, err := s.readSpan(snap, seq, off, end, snap.scratch[:0])
-		snap.scratch = segs[:0]
-		return segs, err
+	if s.cache != nil {
+		key := granuleKey{snap.device, seq, off, end}
+		segs, hit, admit := s.cache.get(key, end-off)
+		if hit {
+			return segs, nil
+		}
+		if admit {
+			return s.cache.load(key, func() ([]traj.Segment, error) {
+				segs, err := s.readSpan(snap, seq, off, end)
+				if err != nil {
+					return nil, err
+				}
+				return append(make([]traj.Segment, 0, len(segs)), segs...), nil
+			})
+		}
 	}
-	key := granuleKey{snap.device, seq, off, end}
-	if segs, ok := s.cache.get(key); ok {
-		return segs, nil
-	}
-	// The cache retains what a miss decodes, so it decodes into a fresh
-	// slice rather than the scratch.
-	return s.cache.load(key, func() ([]traj.Segment, error) {
-		return s.readSpan(snap, seq, off, end, nil)
-	})
+	return s.readSpan(snap, seq, off, end)
 }
 
 // readSpan preads file seq's bytes [off, end) — whole records — into the
-// snapshot's buffer and appends their segments to dst.
-func (s *Store) readSpan(snap *readSnap, seq int, off, end int64, dst []traj.Segment) ([]traj.Segment, error) {
+// snapshot's buffer and decodes their segments into its scratch.
+func (s *Store) readSpan(snap *readSnap, seq int, off, end int64) ([]traj.Segment, error) {
 	if snap.f == nil || snap.fseq != seq {
 		if snap.f != nil {
 			snap.f.Close()
@@ -220,7 +229,7 @@ func (s *Store) readSpan(snap *readSnap, seq int, off, end int64, dst []traj.Seg
 		}
 		f, err := s.fs.Open(snap.l.path(seq))
 		if err != nil {
-			return dst, err
+			return nil, err
 		}
 		snap.f, snap.fseq = f, seq
 	}
@@ -230,9 +239,11 @@ func (s *Store) readSpan(snap *readSnap, seq int, off, end int64, dst []traj.Seg
 	}
 	buf := snap.buf[:n]
 	if err := s.preadFull(snap.f, buf, off); err != nil {
-		return dst, err
+		return nil, err
 	}
-	return decodeRecordRange(dst, buf)
+	segs, err := decodeRecordRange(snap.scratch[:0], buf)
+	snap.scratch = segs[:0]
+	return segs, err
 }
 
 // ReplayRange returns every persisted segment for device whose time

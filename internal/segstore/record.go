@@ -1,8 +1,10 @@
 package segstore
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"trajsim/internal/enc"
 	"trajsim/internal/traj"
@@ -69,11 +71,17 @@ func appendRecordPayload(dst []byte, segs []traj.Segment) []byte {
 }
 
 // decodeRecordPayload decodes one record payload, appending the segments
-// to dst.
+// to dst. Every span read pays for this loop, so it decodes in place:
+// dst grows once from the record's count and each segment is written
+// straight into it, its points read inline in enc.PointDelta's encoding.
+// A one-byte varint — a continuous stream's zero Start deltas, its index
+// and flag fields — takes a fast path, and an error is built only once
+// decoding has failed. FuzzDecodeRecordRange holds it to the decoder
+// built on PointDelta.Next that it replaced.
 func decodeRecordPayload(dst []traj.Segment, payload []byte) ([]traj.Segment, error) {
-	count, n, err := enc.Uvarint(payload)
-	if err != nil {
-		return dst, fmt.Errorf("%w: record count: %v", ErrCorrupt, err)
+	count, n := binary.Uvarint(payload)
+	if n <= 0 {
+		return dst, fmt.Errorf("%w: record count: %v", ErrCorrupt, varintErr(n))
 	}
 	payload = payload[n:]
 	// Nine varints per segment, one byte each at minimum — a count beyond
@@ -81,52 +89,57 @@ func decodeRecordPayload(dst []traj.Segment, payload []byte) ([]traj.Segment, er
 	if count > uint64(len(payload))/9+1 {
 		return dst, fmt.Errorf("%w: %d segments in %d bytes", ErrCorrupt, count, len(payload))
 	}
-	if dst == nil {
-		dst = make([]traj.Segment, 0, min(count, recordChunk))
-	}
-	pd := enc.PointDelta{Quant: quantXY}
-	var pidx int64
-	get := func() (traj.Point, error) {
-		x, y, tms, n, err := pd.Next(payload)
-		if err != nil {
-			return traj.Point{}, err
+	base := len(dst)
+	dst = slices.Grow(dst, int(count))[:base+int(count)]
+	var x, y, t, pidx int64
+	var v [9]uint64 // Start x, y, t; End x, y, t; start-index delta, index span, flags
+	p := 0
+	for i := range dst[base:] {
+		for k := range v {
+			if p < len(payload) && payload[p] < 0x80 {
+				v[k] = uint64(payload[p])
+				p++
+				continue
+			}
+			u, m := binary.Uvarint(payload[p:])
+			if m <= 0 {
+				return dst[:base+i], fmt.Errorf("%w: segment %d %s: %v", ErrCorrupt, i, segmentFields[k], varintErr(m))
+			}
+			v[k] = u
+			p += m
 		}
-		payload = payload[n:]
-		return traj.Point{X: x, Y: y, T: tms}, nil
-	}
-	for i := uint64(0); i < count; i++ {
-		var s traj.Segment
-		var err error
-		if s.Start, err = get(); err != nil {
-			return dst, fmt.Errorf("%w: segment %d start: %v", ErrCorrupt, i, err)
-		}
-		if s.End, err = get(); err != nil {
-			return dst, fmt.Errorf("%w: segment %d end: %v", ErrCorrupt, i, err)
-		}
-		dIdx, n, err := enc.Varint(payload)
-		if err != nil {
-			return dst, fmt.Errorf("%w: segment %d index: %v", ErrCorrupt, i, err)
-		}
-		payload = payload[n:]
-		span, n, err := enc.Uvarint(payload)
-		if err != nil {
-			return dst, fmt.Errorf("%w: segment %d span: %v", ErrCorrupt, i, err)
-		}
-		payload = payload[n:]
-		s.StartIdx = int(pidx + dIdx)
-		s.EndIdx = s.StartIdx + int(span)
+		s := &dst[base+i]
+		x += unzigzag(v[0])
+		y += unzigzag(v[1])
+		t += unzigzag(v[2])
+		s.Start = traj.Point{X: float64(x) * quantXY, Y: float64(y) * quantXY, T: t}
+		x += unzigzag(v[3])
+		y += unzigzag(v[4])
+		t += unzigzag(v[5])
+		s.End = traj.Point{X: float64(x) * quantXY, Y: float64(y) * quantXY, T: t}
+		s.StartIdx = int(pidx + unzigzag(v[6]))
+		s.EndIdx = s.StartIdx + int(v[7])
 		pidx = int64(s.StartIdx)
-		flags, n, err := enc.Uvarint(payload)
-		if err != nil {
-			return dst, fmt.Errorf("%w: segment %d flags: %v", ErrCorrupt, i, err)
-		}
-		payload = payload[n:]
-		s.VirtualStart = flags&flagVirtStart != 0
-		s.VirtualEnd = flags&flagVirtEnd != 0
-		dst = append(dst, s)
+		s.VirtualStart = v[8]&flagVirtStart != 0
+		s.VirtualEnd = v[8]&flagVirtEnd != 0
 	}
-	if len(payload) != 0 {
-		return dst, fmt.Errorf("%w: %d trailing bytes in record", ErrCorrupt, len(payload))
+	if p != len(payload) {
+		return dst, fmt.Errorf("%w: %d trailing bytes in record", ErrCorrupt, len(payload)-p)
 	}
 	return dst, nil
+}
+
+// segmentFields names a segment's nine varints in error messages.
+var segmentFields = [9]string{"start", "start", "start", "end", "end", "end", "index", "span", "flags"}
+
+// unzigzag undoes the zigzag mapping of a signed varint.
+func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
+
+// varintErr maps a failed binary.Uvarint byte count to enc's error: 0
+// means the input ran out, negative that the value overflows 64 bits.
+func varintErr(n int) error {
+	if n == 0 {
+		return enc.ErrShortBuffer
+	}
+	return enc.ErrOverflow
 }

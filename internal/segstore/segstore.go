@@ -217,6 +217,8 @@ type Stats struct {
 	ReadCacheHits  int64 `json:"read_cache_hits"`   // granule reads served from the cache (no I/O)
 	ReadCacheMiss  int64 `json:"read_cache_misses"` // granule reads that fetched from disk
 	ReadCacheBytes int64 `json:"read_cache_bytes"`  // decoded bytes resident in the cache now
+
+	ReadCacheDeclined int64 `json:"read_cache_declined"` // misses read from disk that the cache chose not to keep
 }
 
 // Store is an append-only segment log over one directory. All methods
@@ -1167,6 +1169,8 @@ func (s *Store) Stats() Stats {
 		ReadCacheHits:  s.cache.hitCount(),
 		ReadCacheMiss:  s.cache.missCount(),
 		ReadCacheBytes: s.cache.sizeBytes(),
+
+		ReadCacheDeclined: s.cache.declinedCount(),
 	}
 }
 
