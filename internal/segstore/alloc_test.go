@@ -72,3 +72,42 @@ func TestReadPathAllocs(t *testing.T) {
 		t.Errorf("declined/window: %d declined misses, want one per window read: %+v", st.ReadCacheDeclined, st)
 	}
 }
+
+// TestAppendPathAllocs gates the append path's allocations: a warm
+// Append, whose log holds an open handle, allocates nothing, and a cold
+// one, which alternates between two devices under a one-handle cap so
+// that every append closes the other log's file and reopens its own,
+// allocates at most 5 — what opening the file costs, the path of which
+// the log keeps ready rather than formatting it on every miss.
+func TestAppendPathAllocs(t *testing.T) {
+	segs := syntheticSegs(8)
+	for _, c := range []struct {
+		name     string
+		maxOpen  int
+		devices  []string
+		maxAlloc float64
+	}{
+		{"warm", 0, []string{"warm"}, 0},
+		{"cold", 1, []string{"cold-a", "cold-b"}, 5},
+	} {
+		s := openStore(t, Config{MaxOpenFiles: c.maxOpen, Sync: SyncNever})
+		for _, d := range c.devices { // pay first-open recovery up front
+			if err := s.Append(d, segs); err != nil {
+				t.Fatal(err)
+			}
+		}
+		i := 0
+		got := testing.AllocsPerRun(200, func() {
+			if err := s.Append(c.devices[i%len(c.devices)], segs); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		})
+		if got > c.maxAlloc {
+			t.Errorf("%s: %.1f allocs per Append, want at most %.0f", c.name, got, c.maxAlloc)
+		}
+		if st := s.Stats(); c.maxOpen == 1 && st.HandleEvictions < 200 {
+			t.Errorf("%s: %d handle evictions, want one per Append: %+v", c.name, st.HandleEvictions, st)
+		}
+	}
+}

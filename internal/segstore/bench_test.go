@@ -271,29 +271,37 @@ func BenchmarkReplayRangeHot(b *testing.B) {
 // for, cached or not: one 470-segment index-entry span of a simplified
 // taxi trajectory, framed as 16 records of up to 30 segments (what a
 // device ingesting 256-point batches writes), decoded into a reused
-// scratch slice. The reference case runs the decoder the in-place one
-// replaced (record_ref_test.go).
+// scratch slice. The span is encoded in both record layouts — v2, what
+// the store writes, and v1, what logs written before it hold — and
+// span-bytes reports its size. The reference case runs the v1 decoder
+// the in-place one replaced (record_ref_test.go) over the v1 span.
 func BenchmarkDecodeSpan(b *testing.B) {
 	segs := simplified(b, gen.Taxi, 6000, 47)[:470]
-	var span []byte
-	for off := 0; off < len(segs); off += 30 {
-		span = enc.AppendFrame(span, appendRecordPayload(nil, segs[off:min(off+30, len(segs))]))
+	span := func(encode func([]byte, []traj.Segment) []byte) []byte {
+		var span []byte
+		for off := 0; off < len(segs); off += 30 {
+			span = enc.AppendFrame(span, encode(nil, segs[off:min(off+30, len(segs))]))
+		}
+		return span
 	}
+	v1, v2 := span(appendRecordPayloadV1), span(appendRecordPayload)
 	for _, c := range []struct {
 		name   string
+		span   []byte
 		decode func([]traj.Segment, []byte) ([]traj.Segment, error)
-	}{{"inplace", decodeRecordRange}, {"reference", refDecodeRecordRange}} {
+	}{{"v2", v2, decodeRecordRange}, {"v1", v1, decodeRecordRange}, {"reference", v1, refDecodeRecordRange}} {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
-			b.SetBytes(int64(len(span)))
+			b.SetBytes(int64(len(c.span)))
 			var scratch []traj.Segment
 			for i := 0; i < b.N; i++ {
-				got, err := c.decode(scratch[:0], span)
+				got, err := c.decode(scratch[:0], c.span)
 				if err != nil || len(got) != len(segs) {
 					b.Fatalf("%d segments, %v", len(got), err)
 				}
 				scratch = got
 			}
+			b.ReportMetric(float64(len(c.span)), "span-bytes")
 		})
 	}
 }

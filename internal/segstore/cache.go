@@ -117,9 +117,10 @@ func granuleCost(segs []traj.Segment) int64 {
 }
 
 // maxGranuleCost bounds the cost of a span of n bytes before it is read:
-// a segment takes nine varints, at least a byte each, on disk.
+// no segment takes fewer than minSegBytesV2 bytes on disk, in either
+// record layout.
 func maxGranuleCost(n int64) int64 {
-	return granuleOverhead + n/9*segmentBytes
+	return granuleOverhead + n/minSegBytesV2*segmentBytes
 }
 
 // granuleCache is the store-wide decoded-granule LRU. All fields are

@@ -91,7 +91,7 @@ func (s *Store) compactLocked(l *deviceLog) error {
 		l.dropIndex(s, seqs[removed])
 		if err := s.fs.Remove(l.path(seqs[removed])); err != nil {
 			if l.opened {
-				l.seqs = append(l.seqs[:0], seqs[removed:]...)
+				l.setSeqs(append(l.seqs[:0], seqs[removed:]...))
 			}
 			return fmt.Errorf("segstore: retention: %w", err)
 		}
@@ -104,7 +104,7 @@ func (s *Store) compactLocked(l *deviceLog) error {
 		removed++
 	}
 	if removed > 0 && l.opened {
-		l.seqs = append(l.seqs[:0], seqs[removed:]...)
+		l.setSeqs(append(l.seqs[:0], seqs[removed:]...))
 	}
 	if l.opened {
 		return s.truncatePrefixLocked(l)
@@ -169,8 +169,10 @@ func (s *Store) truncatePrefixLocked(l *deviceLog) error {
 	if int64(len(data)) < fi.dataLen {
 		return fmt.Errorf("%w: %s shorter than its index", ErrCorrupt, l.path(seq))
 	}
+	// The rewrite keeps the file's own magic: a TSG1 file's records are
+	// all v1, and re-labelling them is no retention pass's business.
 	nb := make([]byte, 0, int64(len(fileMagic))+fi.dataLen-cut)
-	nb = append(nb, fileMagic...)
+	nb = append(nb, data[:len(fileMagic)]...)
 	nb = append(nb, data[cut:fi.dataLen]...)
 	tmp := l.path(seq) + tmpSuffix
 	if err := s.writeFileSynced(tmp, nb, s.cfg.Sync != SyncNever); err != nil {

@@ -2,6 +2,7 @@ package segstore
 
 import (
 	"errors"
+	"math"
 	"path/filepath"
 	"testing"
 
@@ -96,30 +97,23 @@ func FuzzDecodeIndex(f *testing.F) {
 	})
 }
 
-// FuzzDecodeRecordRange holds the in-place record decoder to the
+// FuzzDecodeRecordRange holds the in-place decoder's v1 arm to the
 // reference decoder it replaced (record_ref_test.go). Every input is
 // decoded twice — as a span of framed records, the way a read hands it
 // over, and as one bare payload, which the CRC would otherwise keep the
 // fuzzer away from — into an empty and into a non-empty destination.
 // The decoder must never panic, must return the reference's segments,
 // and must fail exactly when the reference fails, with the same error.
+// An input holding a v2 payload (first byte 0x00) is not v1, and the
+// reference cannot judge it: FuzzRecordV2 covers those.
 func FuzzDecodeRecordRange(f *testing.F) {
 	f.Add([]byte{})
-	seed := func(segs []traj.Segment, chunk int) {
-		var span []byte
-		for off := 0; off < len(segs); off += chunk {
-			payload := appendRecordPayload(nil, segs[off:min(off+chunk, len(segs))])
-			f.Add(payload)
-			span = enc.AppendFrame(span, payload)
-		}
-		f.Add(span)
-	}
-	seed(syntheticSegs(40), 16)
-	for i, p := range gen.Presets {
-		seed(simplified(f, p, 600, uint64(70+i)), 32)
-	}
+	seedRecords(f, appendRecordPayloadV1)
 	prefix := syntheticSegs(2)
 	f.Fuzz(func(t *testing.T, b []byte) {
+		if hasV2Record(b) {
+			return
+		}
 		for _, c := range []struct {
 			name      string
 			got, want func([]traj.Segment, []byte) ([]traj.Segment, error)
@@ -139,6 +133,93 @@ func FuzzDecodeRecordRange(f *testing.F) {
 				if !segsEqual(got, want) {
 					t.Fatalf("%s: %d segments, reference %d", c.name, len(got), len(want))
 				}
+			}
+		}
+	})
+}
+
+// seedRecords adds encode's records of syntheticSegs and of a simplified
+// trajectory of every gen preset to f's corpus: each payload on its own,
+// and each batch's payloads framed into one span.
+func seedRecords(f *testing.F, encode func([]byte, []traj.Segment) []byte) {
+	seed := func(segs []traj.Segment, chunk int) {
+		var span []byte
+		for off := 0; off < len(segs); off += chunk {
+			payload := encode(nil, segs[off:min(off+chunk, len(segs))])
+			f.Add(payload)
+			span = enc.AppendFrame(span, payload)
+		}
+		f.Add(span)
+	}
+	seed(syntheticSegs(40), 16)
+	for i, p := range gen.Presets {
+		seed(simplified(f, p, 600, uint64(70+i)), 32)
+	}
+}
+
+// hasV2Record reports whether b, read as a bare payload or as a span of
+// framed records, holds a v2 payload.
+func hasV2Record(b []byte) bool {
+	if len(b) > 0 && b[0] == recordV2 {
+		return true
+	}
+	for off := 0; off < len(b); {
+		payload, n, err := enc.Frame(b[off:], maxRecordPayload)
+		if err != nil {
+			return false
+		}
+		if len(payload) > 0 && payload[0] == recordV2 {
+			return true
+		}
+		off += n
+	}
+	return false
+}
+
+// FuzzRecordV2 holds the v2 layout to its encoder. Any input, read as a
+// span of framed records or as one bare payload, must decode without a
+// panic. A payload the decoder accepts — of either layout — must
+// re-encode (as v2) to a payload that decodes to the same segments, so
+// no v2 record, and no v1 record rewritten as v2, can change a segment.
+// The one exception is a coordinate float64 cannot carry at 1 cm: from
+// 2^50 counts (1.1e13 m) on, the round trip of a decoded coordinate
+// through quantization may land on a neighbouring count, in either
+// layout; such segments must still keep their times, indexes and flags.
+func FuzzRecordV2(f *testing.F) {
+	f.Add([]byte{recordV2})
+	seedRecords(f, appendRecordPayload)
+	prefix := syntheticSegs(2)
+	f.Fuzz(func(t *testing.T, b []byte) {
+		decodeRecordRange(nil, b) // must not panic
+		segs, err := decodeRecordPayload(append([]traj.Segment(nil), prefix...), b)
+		if err != nil {
+			return
+		}
+		if !segsEqual(segs[:len(prefix)], prefix) {
+			t.Fatalf("decoding overwrote the destination's segments")
+		}
+		segs = segs[len(prefix):]
+		again := appendRecordPayload(nil, segs)
+		back, err := decodeRecordPayload(nil, again)
+		if err != nil {
+			t.Fatalf("re-encoded payload %x does not decode: %v", again, err)
+		}
+		if len(back) != len(segs) {
+			t.Fatalf("re-encoded payload decodes to %d segments, want %d", len(back), len(segs))
+		}
+		const exact = 1 << 50 * quantXY
+		for i, s := range segs {
+			r := back[i]
+			if math.Abs(s.Start.X) < exact && math.Abs(s.Start.Y) < exact &&
+				math.Abs(s.End.X) < exact && math.Abs(s.End.Y) < exact {
+				if r != s {
+					t.Fatalf("segment %d re-decodes as %+v, want %+v", i, r, s)
+				}
+				continue
+			}
+			if r.Start.T != s.Start.T || r.End.T != s.End.T || r.StartIdx != s.StartIdx || r.EndIdx != s.EndIdx ||
+				r.VirtualStart != s.VirtualStart || r.VirtualEnd != s.VirtualEnd {
+				t.Fatalf("segment %d re-decodes as %+v, want %+v", i, r, s)
 			}
 		}
 	})

@@ -167,7 +167,7 @@ func (l *deviceLog) handle(s *Store) error {
 	if len(l.seqs) == 0 {
 		return nil
 	}
-	f, err := s.fs.OpenFile(l.path(l.seqs[len(l.seqs)-1]), os.O_RDWR, 0)
+	f, err := s.fs.OpenFile(l.newest, os.O_RDWR, 0)
 	if err != nil {
 		return fmt.Errorf("segstore: reopen: %w", err)
 	}

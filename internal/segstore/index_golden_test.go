@@ -12,8 +12,12 @@ import (
 
 // TestGoldenIndexFile pins the sidecar format — magic, CRC framing,
 // delta coding, field order — as produced by a real rotation, the same
-// way record_v1.golden pins the data file. The store clock is overridden
-// so the wall stamps (and therefore the bytes) are deterministic.
+// way record_v2.golden pins the data file. The store clock is overridden
+// so the wall stamps (and therefore the bytes) are deterministic. The
+// TSI1 format did not change with the v2 record layout, but its offsets
+// did: index_v2.golden is the sidecar of a log of v2 records, and
+// index_v1.golden, the same appends' sidecar over v1 records, must keep
+// decoding.
 func TestGoldenIndexFile(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(Config{Dir: dir, Sync: SyncNever, MaxFileSize: 64})
@@ -44,7 +48,7 @@ func TestGoldenIndexFile(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	path := filepath.Join("testdata", "index_v1.golden")
+	path := filepath.Join("testdata", "index_v2.golden")
 	if *update {
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
@@ -62,27 +66,37 @@ func TestGoldenIndexFile(t *testing.T) {
 		t.Fatalf("index sidecar format changed:\n got %x\nwant %x\nre-bless with -update only for a deliberate format break", got, want)
 	}
 
-	// The checked-in fixture must keep decoding on current code, with the
+	// The checked-in fixtures must keep decoding on current code, with the
 	// exact entries the appends above produced.
-	dataLen, entries, err := decodeIndexFile(want)
+	for _, name := range []string{"index_v1.golden", "index_v2.golden"} {
+		fixture, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkGoldenIndex(t, name, fixture)
+	}
+}
+
+// checkGoldenIndex decodes a TestGoldenIndexFile fixture and checks its
+// entries: one per record of the two the sealed file holds.
+func checkGoldenIndex(t *testing.T, name string, fixture []byte) {
+	t.Helper()
+	dataLen, entries, err := decodeIndexFile(fixture)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("%s: %v", name, err)
 	}
-	wantEntries := []indexEntry{
-		{off: int64(len(fileMagic)), minT: 0, maxT: 30_000, wall: 1_700_000_001_000},
-		{off: 0, minT: 30_000, maxT: 95_000, wall: 1_700_000_002_000},
-	}
-	wantEntries[1].off = entries[0].off // the second offset is whatever record 1's length makes it
 	if len(entries) != 2 {
-		t.Fatalf("fixture has %d entries, want 2", len(entries))
+		t.Fatalf("%s has %d entries, want 2", name, len(entries))
 	}
-	if entries[0] != wantEntries[0] {
-		t.Fatalf("entry 0 = %+v, want %+v", entries[0], wantEntries[0])
+	want0 := indexEntry{off: int64(len(fileMagic)), minT: 0, maxT: 30_000, wall: 1_700_000_001_000}
+	if entries[0] != want0 {
+		t.Fatalf("%s: entry 0 = %+v, want %+v", name, entries[0], want0)
 	}
+	// The second offset is whatever record 1's length makes it.
 	if entries[1].minT != 30_000 || entries[1].maxT != 95_000 || entries[1].wall != 1_700_000_002_000 {
-		t.Fatalf("entry 1 = %+v", entries[1])
+		t.Fatalf("%s: entry 1 = %+v", name, entries[1])
 	}
 	if entries[1].off <= entries[0].off || dataLen <= entries[1].off {
-		t.Fatalf("offsets out of order: %+v, dataLen %d", entries, dataLen)
+		t.Fatalf("%s: offsets out of order: %+v, dataLen %d", name, entries, dataLen)
 	}
 }

@@ -77,7 +77,7 @@ func (s *Store) tryUnquarantine(l *deviceLog) error {
 		s.cache.invalidateFile(l.device, l.seqs[len(l.seqs)-1])
 	}
 	l.opened = false
-	l.seqs = nil
+	l.setSeqs(nil)
 	l.size = 0
 	l.tail = nil
 	l.idxCache = nil

@@ -342,16 +342,19 @@ const (
 	maxTime = math.MaxInt64
 )
 
-// estimateSegs sizes a range read's result: segments encode to roughly
-// 10–30 bytes (two delta-coded points plus index and flag varints), so
-// bytes/16 lands within ~2× of the truth for the fully-included spans —
-// one allocation up front instead of log(n) regrowths while appending a
-// big window. Boundary entries are mostly filtered away, so they
-// contribute a token few slots rather than their byte mass (a narrow
-// window over fat coalesced spans must not allocate for every segment
-// it is about to discard).
+// estimateSegs sizes a range read's result from the bytes of the fully
+// included spans: a v2 record of a continuous stream stores about 11.7
+// bytes per segment, framing included (TestStoredBytesPerSegment; v1
+// records about 15), so bytes/12 lands near the truth for history
+// records and overshoots the two-segment records of live appends, about
+// 19 bytes a segment on servebench's ingest-fleet, by 1.6× — one
+// allocation up front instead of log(n) regrowths while appending a big
+// window. Boundary entries are mostly filtered away, so they contribute
+// a token few slots rather than their byte mass (a narrow window over
+// fat coalesced spans must not allocate for every segment it is about
+// to discard).
 func estimateSegs(innerBytes int64, boundary int) int {
-	n := innerBytes/16 + int64(boundary)*8
+	n := innerBytes/12 + int64(boundary)*8
 	if n < 16 {
 		n = 16
 	}

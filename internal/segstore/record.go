@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 
 	"trajsim/internal/enc"
@@ -15,8 +16,41 @@ import (
 // the wire formats in internal/trajio. Each payload is self-contained
 // (delta state resets per record), so any prefix of a log replays
 // without the records that follow it — the property torn-tail recovery
-// relies on. Payloads are wrapped in enc.AppendFrame CRC framing by the
-// log writer.
+// and index entries rely on. Payloads are wrapped in enc.AppendFrame CRC
+// framing by the log writer. A payload is in one of two layouts, told
+// apart by its first byte.
+//
+// v1, written before the v2 layout (in TSG1 files) and still decoded:
+//
+//	uvarint(count) | count × (Start End zigzag(StartIdx−prevStartIdx) uvarint(EndIdx−StartIdx) uvarint(flags))
+//
+// where Start and End are three zigzag deltas each (x, y in 1 cm, t in
+// 1 ms) against the point written before them — so a continuous
+// segment's Start costs three zero bytes — and flags holds VirtualStart
+// (bit 0) and VirtualEnd (bit 1), as in PWB1. count is never 0.
+//
+// v2, the only layout written now:
+//
+//	0x00 | uvarint(count) | count × (head [Start] [zigzag(StartIdx−prevEndIdx)] End uvarint(EndIdx−StartIdx))
+//
+// The leading 0x00 (a v1 count is never 0) marks the layout. head is a
+// uvarint below 16, so one byte: the flag bits as in v1, and in bits 2–3
+// how Start is stored; every higher bit is 0, and the decoder rejects
+// any other head byte:
+//
+//	mode 0: Start is the previous End; StartIdx is the previous EndIdx
+//	mode 1: Start is the previous End; StartIdx is the previous EndIdx + 1
+//	mode 2: Start is the previous End; StartIdx follows as a varint
+//	mode 3: Start follows as three deltas against the previous End, then StartIdx
+//
+// End is three deltas against Start. The first segment is always mode 3,
+// against the origin (0, 0, 0) and index 0, which keeps records
+// self-contained. The encoder picks a lower mode only when the quantized
+// values are equal, so a v2 record decodes to exactly the segments the
+// v1 record of the same batch decodes to; a continuous stream's segment
+// costs its head, End and span: 5 bytes at the least. On the gen
+// presets' records that is 11.7 bytes per segment, framing included,
+// against 15.1 in v1 (TestStoredBytesPerSegment).
 
 // ErrCorrupt is returned when a log file fails validation somewhere a
 // torn tail cannot explain (bad magic, or a broken record that is not
@@ -31,6 +65,21 @@ const (
 	// flag bits, identical to the PWB1 piecewise encoding.
 	flagVirtStart = 1
 	flagVirtEnd   = 2
+	// recordV2 is the first byte of a v2 payload. headModeShift places the
+	// start mode in a v2 head; a head at or above maxHead is malformed.
+	recordV2      = 0x00
+	headModeShift = 2
+	maxHead       = 16
+	// v2 start modes (see the layout above).
+	modeSame     = 0 // Start = previous End, StartIdx = previous EndIdx
+	modeNext     = 1 // Start = previous End, StartIdx = previous EndIdx + 1
+	modeIndex    = 2 // Start = previous End, StartIdx stored
+	modeAbsolute = 3 // Start and StartIdx stored
+	// minSegBytesV1 and minSegBytesV2 are the fewest bytes one segment can
+	// take in each layout: nine one-byte varints in v1; head, three End
+	// deltas and the span in v2.
+	minSegBytesV1 = 9
+	minSegBytesV2 = 5
 	// maxRecordPayload bounds one record on disk; appendRecords chunks
 	// larger batches. A scan hitting a bigger declared size treats it as
 	// a torn length prefix.
@@ -45,48 +94,81 @@ const (
 	maxTornTail = maxRecordPayload + 16
 )
 
-// appendRecordPayload encodes one batch of segments, appending to dst.
+// appendRecordPayload encodes one batch of segments as a v2 payload,
+// appending to dst.
 func appendRecordPayload(dst []byte, segs []traj.Segment) []byte {
+	dst = append(dst, recordV2)
 	dst = enc.AppendUvarint(dst, uint64(len(segs)))
-	pd := enc.PointDelta{Quant: quantXY}
-	var pidx int64
-	for _, s := range segs {
-		// Start is usually the previous segment's End (continuous
-		// piecewise), making its delta three zero bytes.
-		dst = pd.Append(dst, s.Start.X, s.Start.Y, s.Start.T)
-		dst = pd.Append(dst, s.End.X, s.End.Y, s.End.T)
-		dst = enc.AppendVarint(dst, int64(s.StartIdx)-pidx)
-		dst = enc.AppendUvarint(dst, uint64(s.EndIdx-s.StartIdx))
-		pidx = int64(s.StartIdx)
-		var flags uint64
+	var x, y, t int64 // the previous End, quantized; the origin before the first segment
+	var eidx int      // the previous EndIdx
+	for i, s := range segs {
+		sx, sy := quantCount(s.Start.X), quantCount(s.Start.Y)
+		mode := modeAbsolute
+		if i > 0 && sx == x && sy == y && s.Start.T == t {
+			switch s.StartIdx - eidx {
+			case 0:
+				mode = modeSame
+			case 1:
+				mode = modeNext
+			default:
+				mode = modeIndex
+			}
+		}
+		head := byte(mode << headModeShift)
 		if s.VirtualStart {
-			flags |= flagVirtStart
+			head |= flagVirtStart
 		}
 		if s.VirtualEnd {
-			flags |= flagVirtEnd
+			head |= flagVirtEnd
 		}
-		dst = enc.AppendUvarint(dst, flags)
+		dst = append(dst, head)
+		if mode == modeAbsolute {
+			dst = enc.AppendVarint(dst, sx-x)
+			dst = enc.AppendVarint(dst, sy-y)
+			dst = enc.AppendVarint(dst, s.Start.T-t)
+		}
+		if mode >= modeIndex {
+			dst = enc.AppendVarint(dst, int64(s.StartIdx-eidx))
+		}
+		x, y, t = quantCount(s.End.X), quantCount(s.End.Y), s.End.T
+		dst = enc.AppendVarint(dst, x-sx)
+		dst = enc.AppendVarint(dst, y-sy)
+		dst = enc.AppendVarint(dst, t-s.Start.T)
+		dst = enc.AppendUvarint(dst, uint64(s.EndIdx-s.StartIdx))
+		eidx = s.EndIdx
 	}
 	return dst
 }
 
-// decodeRecordPayload decodes one record payload, appending the segments
-// to dst. Every span read pays for this loop, so it decodes in place:
-// dst grows once from the record's count and each segment is written
-// straight into it, its points read inline in enc.PointDelta's encoding.
-// A one-byte varint — a continuous stream's zero Start deltas, its index
-// and flag fields — takes a fast path, and an error is built only once
-// decoding has failed. FuzzDecodeRecordRange holds it to the decoder
-// built on PointDelta.Next that it replaced.
+// quantCount maps a coordinate onto its 1 cm count, the way
+// enc.PointDelta does for v1 records.
+func quantCount(v float64) int64 { return int64(math.Round(v / quantXY)) }
+
+// decodeRecordPayload decodes one record payload of either layout,
+// appending the segments to dst. Every span read pays for this, so both
+// layouts decode in place: dst grows once from the record's count and
+// each segment is written straight into it. A one-byte varint — most of
+// a continuous stream's fields — takes a fast path, and an error is
+// built only once decoding has failed. FuzzDecodeRecordRange holds the
+// v1 arm to the decoder built on PointDelta.Next that it replaced;
+// FuzzRecordV2 holds the v2 arm to the encoder.
 func decodeRecordPayload(dst []traj.Segment, payload []byte) ([]traj.Segment, error) {
+	if len(payload) > 0 && payload[0] == recordV2 {
+		return decodeRecordV2(dst, payload[1:])
+	}
+	return decodeRecordV1(dst, payload)
+}
+
+// decodeRecordV1 decodes a v1 payload.
+func decodeRecordV1(dst []traj.Segment, payload []byte) ([]traj.Segment, error) {
 	count, n := binary.Uvarint(payload)
 	if n <= 0 {
 		return dst, fmt.Errorf("%w: record count: %v", ErrCorrupt, varintErr(n))
 	}
 	payload = payload[n:]
-	// Nine varints per segment, one byte each at minimum — a count beyond
-	// that is malformed, and checking first bounds the allocation below.
-	if count > uint64(len(payload))/9+1 {
+	// A count beyond one segment per minSegBytesV1 is malformed, and
+	// checking first bounds the allocation below.
+	if count > uint64(len(payload))/minSegBytesV1+1 {
 		return dst, fmt.Errorf("%w: %d segments in %d bytes", ErrCorrupt, count, len(payload))
 	}
 	base := len(dst)
@@ -129,8 +211,87 @@ func decodeRecordPayload(dst []traj.Segment, payload []byte) ([]traj.Segment, er
 	return dst, nil
 }
 
-// segmentFields names a segment's nine varints in error messages.
-var segmentFields = [9]string{"start", "start", "start", "end", "end", "end", "index", "span", "flags"}
+// decodeRecordV2 decodes a v2 payload after its leading 0x00.
+func decodeRecordV2(dst []traj.Segment, payload []byte) ([]traj.Segment, error) {
+	count, n := binary.Uvarint(payload)
+	if n <= 0 {
+		return dst, fmt.Errorf("%w: record count: %v", ErrCorrupt, varintErr(n))
+	}
+	payload = payload[n:]
+	if count > uint64(len(payload))/minSegBytesV2 {
+		return dst, fmt.Errorf("%w: %d segments in %d bytes", ErrCorrupt, count, len(payload))
+	}
+	base := len(dst)
+	dst = slices.Grow(dst, int(count))[:base+int(count)]
+	var x, y, t int64   // the previous End, quantized
+	var prev traj.Point // the previous End, decoded
+	var eidx int        // the previous EndIdx
+	var v [8]uint64     // Start x, y, t; start-index delta; End x, y, t; index span
+	p := 0
+	for i := range dst[base:] {
+		if p >= len(payload) {
+			return dst[:base+i], fmt.Errorf("%w: segment %d head: %v", ErrCorrupt, i, enc.ErrShortBuffer)
+		}
+		head := payload[p]
+		p++
+		mode := head >> headModeShift
+		if head >= maxHead || i == 0 && mode != modeAbsolute {
+			return dst[:base+i], fmt.Errorf("%w: segment %d: bad head %#x", ErrCorrupt, i, head)
+		}
+		// A mode stores the fields from firstField[mode] on.
+		for k := firstField[mode]; k < len(v); k++ {
+			if p < len(payload) && payload[p] < 0x80 {
+				v[k] = uint64(payload[p])
+				p++
+				continue
+			}
+			u, m := binary.Uvarint(payload[p:])
+			if m <= 0 {
+				return dst[:base+i], fmt.Errorf("%w: segment %d %s: %v", ErrCorrupt, i, segmentFieldsV2[k], varintErr(m))
+			}
+			v[k] = u
+			p += m
+		}
+		s := &dst[base+i]
+		switch mode {
+		case modeSame:
+			s.Start, s.StartIdx = prev, eidx
+		case modeNext:
+			s.Start, s.StartIdx = prev, eidx+1
+		case modeIndex:
+			s.Start, s.StartIdx = prev, eidx+int(unzigzag(v[3]))
+		default:
+			x += unzigzag(v[0])
+			y += unzigzag(v[1])
+			t += unzigzag(v[2])
+			s.Start = traj.Point{X: float64(x) * quantXY, Y: float64(y) * quantXY, T: t}
+			s.StartIdx = eidx + int(unzigzag(v[3]))
+		}
+		x += unzigzag(v[4])
+		y += unzigzag(v[5])
+		t += unzigzag(v[6])
+		s.End = traj.Point{X: float64(x) * quantXY, Y: float64(y) * quantXY, T: t}
+		s.EndIdx = s.StartIdx + int(v[7])
+		s.VirtualStart = head&flagVirtStart != 0
+		s.VirtualEnd = head&flagVirtEnd != 0
+		prev, eidx = s.End, s.EndIdx
+	}
+	if p != len(payload) {
+		return dst, fmt.Errorf("%w: %d trailing bytes in record", ErrCorrupt, len(payload)-p)
+	}
+	return dst, nil
+}
+
+// firstField is the first of a v2 segment's varints each start mode
+// stores: none of Start, StartIdx only from mode 2, everything in mode 3.
+var firstField = [4]int{modeSame: 4, modeNext: 4, modeIndex: 3, modeAbsolute: 0}
+
+// segmentFields and segmentFieldsV2 name a segment's varints in error
+// messages.
+var (
+	segmentFields   = [9]string{"start", "start", "start", "end", "end", "end", "index", "span", "flags"}
+	segmentFieldsV2 = [8]string{"start", "start", "start", "index", "end", "end", "end", "span"}
+)
 
 // unzigzag undoes the zigzag mapping of a signed varint.
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }

@@ -7,7 +7,12 @@
 // Layout: one directory per device (ID percent-escaped), holding
 // size-rotated files 00000001.seg, 00000002.seg, … Each file starts with
 // a 4-byte magic and continues with CRC-framed records (enc.AppendFrame)
-// whose payloads are varint delta-coded segment batches (record.go).
+// whose payloads are varint delta-coded segment batches (record.go). A
+// TSG2 file may hold records of either layout and is the only kind
+// written; a TSG1 file holds v1 records only, is still read, and is
+// rotated away before the first append after an upgrade, so a store
+// that cannot decode v2 refuses a TSG2 file rather than truncating its
+// records as a torn tail.
 // Records are self-contained, so recovery is a scan that truncates the
 // log at the first incomplete or corrupt frame of the newest file — a
 // torn tail from a crash mid-write — while any damage earlier in the log
@@ -56,9 +61,10 @@ var (
 )
 
 const (
-	fileMagic  = "TSG1"
-	fileSuffix = ".seg"
-	tmpSuffix  = ".tmp"
+	fileMagic   = "TSG2"
+	fileMagicV1 = "TSG1" // files of v1 records only, written before TSG2
+	fileSuffix  = ".seg"
+	tmpSuffix   = ".tmp"
 	// maxDeviceID caps device IDs so their escaped form (≤ 3 bytes per
 	// rune byte) stays a legal directory name everywhere. It equals
 	// stream.MaxDevice (asserted in tests) so everything the engine
@@ -280,12 +286,14 @@ type deviceLog struct {
 	mu      sync.Mutex
 	device  string
 	dir     string
-	opened  bool  //trajlint:guardedby mu
-	evicted bool  //trajlint:guardedby mu -- metadata LRU dropped this instance; holders must re-resolve
-	seqs    []int //trajlint:guardedby mu -- existing file numbers, ascending
-	f       file  //trajlint:guardedby mu -- newest file, open for append; nil until first write or after eviction
-	size    int64 //trajlint:guardedby mu -- valid bytes in the newest file
-	dirty   bool  //trajlint:guardedby mu -- has unsynced writes
+	opened  bool   //trajlint:guardedby mu
+	evicted bool   //trajlint:guardedby mu -- metadata LRU dropped this instance; holders must re-resolve
+	seqs    []int  //trajlint:guardedby mu -- existing file numbers, ascending; set through setSeqs
+	newest  string //trajlint:guardedby mu -- path of the newest file in seqs, "" when there is none
+	f       file   //trajlint:guardedby mu -- newest file, open for append; nil until first write or after eviction
+	size    int64  //trajlint:guardedby mu -- valid bytes in the newest file
+	dirty   bool   //trajlint:guardedby mu -- has unsynced writes
+	v1      bool   //trajlint:guardedby mu -- the newest file is a TSG1 file; the next append rotates first
 
 	// Quarantine state. A write or fsync failure poisons the log: failed
 	// is set, the file handle is discarded (a failed fsync is never
@@ -555,18 +563,31 @@ func fileName(seq int) string { return fmt.Sprintf("%08d%s", seq, fileSuffix) }
 
 func (l *deviceLog) path(seq int) string { return filepath.Join(l.dir, fileName(seq)) }
 
+// setSeqs replaces l's file list and keeps l.newest, the path a cold
+// append reopens, in step with it, so a handle miss formats no path.
+// Caller holds l.mu.
+//
+//trajlint:holds l.mu
+func (l *deviceLog) setSeqs(seqs []int) {
+	l.seqs, l.newest = seqs, ""
+	if n := len(seqs); n > 0 {
+		l.newest = l.path(seqs[n-1])
+	}
+}
+
 // scanLog walks one file's bytes, appending decoded segments to dst,
 // one time-index entry per record to idx (stamped wall — the file mtime,
 // since a scan cannot know each record's true append time), and
 // returning the length of the valid prefix. A short or corrupt record
 // ends the scan (validLen marks where); only a bad file header is an
-// outright error.
+// outright error. Both file magics are accepted: records carry their own
+// layout (record.go).
 func scanLog(dst []traj.Segment, idx []indexEntry, b []byte, wall int64) ([]traj.Segment, []indexEntry, int64, error) {
 	if len(b) < len(fileMagic) {
 		return dst, idx, 0, nil // torn during creation: nothing recoverable
 	}
-	if string(b[:len(fileMagic)]) != fileMagic {
-		return dst, idx, 0, fmt.Errorf("%w: bad file magic %q", ErrCorrupt, b[:len(fileMagic)])
+	if m := string(b[:len(fileMagic)]); m != fileMagic && m != fileMagicV1 {
+		return dst, idx, 0, fmt.Errorf("%w: bad file magic %q", ErrCorrupt, m)
 	}
 	off := int64(len(fileMagic))
 	for off < int64(len(b)) {
@@ -676,17 +697,16 @@ func (l *deviceLog) open(s *Store) error {
 	for _, name := range strays {
 		_ = s.fs.Remove(filepath.Join(l.dir, name))
 	}
-	l.seqs = seqs
+	l.setSeqs(seqs)
 	if len(l.seqs) == 0 {
 		l.opened = true
 		return nil
 	}
-	last := l.seqs[len(l.seqs)-1]
-	fi, err := s.fs.Stat(l.path(last))
+	fi, err := s.fs.Stat(l.newest)
 	if err != nil {
 		return fmt.Errorf("segstore: %w", err)
 	}
-	b, err := s.fs.ReadFile(l.path(last))
+	b, err := s.fs.ReadFile(l.newest)
 	if err != nil {
 		return fmt.Errorf("segstore: %w", err)
 	}
@@ -699,7 +719,7 @@ func (l *deviceLog) open(s *Store) error {
 	var entries []indexEntry
 	_, entries, validLen, err := scanLog(nil, nil, b, fi.ModTime().UnixMilli())
 	if err != nil {
-		return fmt.Errorf("%w (%s)", err, l.path(last))
+		return fmt.Errorf("%w (%s)", err, l.newest)
 	}
 	l.tail = coalesceEntries(entries, s.idxGran)
 	// A torn tail is at most the bytes of one interrupted record write.
@@ -707,10 +727,12 @@ func (l *deviceLog) open(s *Store) error {
 	// report it instead of silently truncating acknowledged records away.
 	if torn := int64(len(b)) - validLen; torn > maxTornTail {
 		return fmt.Errorf("%w: %d invalid bytes at offset %d — more than one torn write (%s)",
-			ErrCorrupt, torn, validLen, l.path(last))
+			ErrCorrupt, torn, validLen, l.newest)
 	}
+	// A TSG1 file takes no v2 record: the next append rotates past it.
+	l.v1 = validLen >= int64(len(fileMagicV1)) && string(b[:len(fileMagicV1)]) == fileMagicV1
 	if validLen < int64(len(b)) || validLen < int64(len(fileMagic)) {
-		f, err := s.fs.OpenFile(l.path(last), os.O_RDWR, 0)
+		f, err := s.fs.OpenFile(l.newest, os.O_RDWR, 0)
 		if err != nil {
 			return fmt.Errorf("segstore: %w", err)
 		}
@@ -762,8 +784,8 @@ func (l *deviceLog) create(s *Store, seq int) error {
 		s.fs.Remove(l.path(seq))
 		return fmt.Errorf("segstore: %w", err)
 	}
-	l.f, l.size = f, int64(len(fileMagic))
-	l.seqs = append(l.seqs, seq)
+	l.f, l.size, l.v1 = f, int64(len(fileMagic)), false
+	l.setSeqs(append(l.seqs, seq))
 	s.registerHandle(l)
 	if s.cfg.Sync == SyncAlways {
 		if err := s.syncDir(l.dir); err != nil {
@@ -947,7 +969,7 @@ func (s *Store) appendLocked(l *deviceLog, segs []traj.Segment) error {
 			if err := l.create(s, seq); err != nil {
 				return err
 			}
-		case l.size+pending > int64(len(fileMagic)) && l.size+pending+int64(len(frame)) > s.cfg.MaxFileSize:
+		case l.v1 || l.size+pending > int64(len(fileMagic)) && l.size+pending+int64(len(frame)) > s.cfg.MaxFileSize:
 			if err := flush(); err != nil {
 				return err
 			}
