@@ -781,12 +781,19 @@ func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(resp)
 }
 
+// handleFlush finalizes one device's session, or every live session,
+// and answers once their tails are committed. A tail the sink lost
+// answers 500, naming the devices.
 func (s *server) handleFlush(w http.ResponseWriter, r *http.Request) {
 	wantSegments := r.URL.Query().Get("out") == "segments"
 	if dev := r.URL.Query().Get("device"); dev != "" {
-		segs, ok := s.eng.Flush(dev)
-		if !ok {
+		segs, err := s.eng.Flush(dev)
+		if errors.Is(err, stream.ErrNoSession) {
 			http.Error(w, "no live session for device "+dev, http.StatusNotFound)
+			return
+		}
+		if err != nil {
+			writeFlushError(w, err)
 			return
 		}
 		if wantSegments {
@@ -800,7 +807,11 @@ func (s *server) handleFlush(w http.ResponseWriter, r *http.Request) {
 		json.NewEncoder(w).Encode(map[string]int{"devices": 1, "segments": len(segs)})
 		return
 	}
-	tails := s.eng.FlushAll()
+	tails, err := s.eng.FlushAll()
+	if err != nil {
+		writeFlushError(w, err)
+		return
+	}
 	if wantSegments {
 		w.Header().Set("Content-Type", "application/x-ndjson")
 		for dev, segs := range tails {
@@ -817,6 +828,20 @@ func (s *server) handleFlush(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(map[string]int{"devices": len(tails), "segments": segments})
+}
+
+// writeFlushError answers a flush whose tails the sink lost: 500 with
+// the error and the devices whose segments are not durable. The sink
+// pipeline has already logged the loss, once per burst.
+func writeFlushError(w http.ResponseWriter, err error) {
+	resp := map[string]any{"error": err.Error()}
+	var fe *stream.FlushError
+	if errors.As(err, &fe) {
+		resp["lost_devices"] = fe.Devices
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusInternalServerError)
+	json.NewEncoder(w).Encode(resp)
 }
 
 // queryMs parses an optional unix-ms query parameter, reporting whether

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"testing"
 
-	"trajsim/internal/enc"
 	"trajsim/internal/gen"
 	"trajsim/internal/traj"
 )
@@ -271,25 +270,19 @@ func BenchmarkReplayRangeHot(b *testing.B) {
 // for, cached or not: one 470-segment index-entry span of a simplified
 // taxi trajectory, framed as 16 records of up to 30 segments (what a
 // device ingesting 256-point batches writes), decoded into a reused
-// scratch slice. The span is encoded in both record layouts — v2, what
-// the store writes, and v1, what logs written before it hold — and
-// span-bytes reports its size. The reference case runs the v1 decoder
-// the in-place one replaced (record_ref_test.go) over the v1 span.
+// scratch slice. The span is encoded the way each file kind holds it —
+// chained, what the store writes; v2 chain starts, what TSG2 files hold;
+// v1, what TSG1 files hold — and span-bytes reports its size. The
+// reference case runs the v1 decoder the in-place one replaced
+// (record_ref_test.go) over the v1 span.
 func BenchmarkDecodeSpan(b *testing.B) {
 	segs := simplified(b, gen.Taxi, 6000, 47)[:470]
-	span := func(encode func([]byte, []traj.Segment) []byte) []byte {
-		var span []byte
-		for off := 0; off < len(segs); off += 30 {
-			span = enc.AppendFrame(span, encode(nil, segs[off:min(off+30, len(segs))]))
-		}
-		return span
-	}
-	v1, v2 := span(appendRecordPayloadV1), span(appendRecordPayload)
+	chained, v2, v1 := recordSpan(segs, 30, appendRecordPayload), recordSpan(segs, 30, v2Records), recordSpan(segs, 30, v1Records)
 	for _, c := range []struct {
 		name   string
 		span   []byte
 		decode func([]traj.Segment, []byte) ([]traj.Segment, error)
-	}{{"v2", v2, decodeRecordRange}, {"v1", v1, decodeRecordRange}, {"reference", v1, refDecodeRecordRange}} {
+	}{{"chained", chained, decodeRecordRange}, {"v2", v2, decodeRecordRange}, {"v1", v1, decodeRecordRange}, {"reference", v1, refDecodeRecordRange}} {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			b.SetBytes(int64(len(c.span)))

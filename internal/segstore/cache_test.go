@@ -34,7 +34,7 @@ func rawReplay(t *testing.T, dir, dev string) []traj.Segment {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if out, _, _, err = scanLog(out, nil, b, 0); err != nil {
+		if out, err = refDecodeRecordRange(out, b[len(fileMagic):]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -115,88 +115,99 @@ func verifyAgainstRaw(t *testing.T, s *Store, dir, dev string) {
 // in both modes: with the cache off every answer comes from disk, with
 // it on the second pass comes from cached granules. The 4 KiB budget
 // holds a handful of per-record granules, so that cache is full and
-// declining most misses, which read through the cache-off path.
+// declining most misses, which read through the cache-off path. Each
+// mode runs with per-record index entries (every record a chain start:
+// maximum cache churn) and with 128-byte entries, inside which records
+// are chained (record.go).
 func TestReadCacheCoherenceOracle(t *testing.T) {
 	for _, cacheBytes := range []int64{0, 4 << 10, 1 << 20} {
 		t.Run(fmt.Sprintf("cache=%d", cacheBytes), func(t *testing.T) {
-			dir := t.TempDir()
-			s := openStore(t, Config{
-				Dir:            dir,
-				Sync:           SyncNever,
-				SyncEvery:      time.Hour, // no background pass racing the oracle
-				MaxFileSize:    512,
-				MaxLogBytes:    2 << 10,
-				MaxLogAge:      time.Hour,
-				ReadCacheBytes: cacheBytes,
-			})
-			s.idxGran = 1 // per-record granules: maximum cache churn
-			clock := int64(1_000_000)
-			s.now = func() time.Time { return time.UnixMilli(clock) }
-			const dev = "oracle"
-			segs := simplified(t, gen.Taxi, 900, 29)
-
-			appendPhase := func(from, to int) {
-				t.Helper()
-				for i := from; i < to; i += 4 {
-					clock += 1000
-					if err := s.Append(dev, segs[i:min(i+4, to)]); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-			verify := func() {
-				t.Helper()
-				verifyAgainstRaw(t, s, dir, dev) // populates the cache
-				verifyAgainstRaw(t, s, dir, dev) // answered from it
-			}
-
-			// Phase 1: plain growth across several rotations.
-			appendPhase(0, len(segs)/2)
-			verify()
-
-			// Phase 2: more growth — the cached tail granules from phase 1
-			// must not shadow the records appended since (tail spans re-key
-			// as they grow), and size-budget deletes fire at rotation.
-			appendPhase(len(segs)/2, len(segs))
-			verify()
-
-			// Phase 3: re-ingest an old time span — entries go unsorted, and
-			// last-appended-wins must hold through the cache.
-			if err := s.Append(dev, segs[len(segs)/3:len(segs)/3+30]); err != nil {
-				t.Fatal(err)
-			}
-			verify()
-
-			// Phase 4: expire everything appended so far and compact — the
-			// oldest surviving file is rewritten without its expired prefix,
-			// reusing byte offsets for different records. Stale granules
-			// must go with it.
-			clock += (3 * time.Hour).Milliseconds()
-			if err := s.CompactNow(); err != nil {
-				t.Fatal(err)
-			}
-			verify()
-
-			// Phase 5: life goes on after truncation.
-			if err := s.Append(dev, segs[:8]); err != nil {
-				t.Fatal(err)
-			}
-			verify()
-
-			st := s.Stats()
-			if cacheBytes > 0 && (st.ReadCacheHits == 0 || st.ReadCacheMiss == 0) {
-				t.Fatalf("cache never exercised: %+v", st)
-			}
-			if cacheBytes == 4<<10 && st.ReadCacheDeclined == 0 {
-				t.Fatalf("a full cache never declined a miss: %+v", st)
-			}
-			if st.DeletedFiles == 0 {
-				t.Fatalf("size-budget deletes never fired — shrink MaxLogBytes: %+v", st)
-			}
-			if st.PrefixTruncations == 0 {
-				t.Fatalf("prefix truncation never fired: %+v", st)
+			for _, gran := range []int64{1, 128} {
+				t.Run(fmt.Sprintf("gran=%d", gran), func(t *testing.T) { coherenceOracle(t, cacheBytes, gran) })
 			}
 		})
+	}
+}
+
+// coherenceOracle is one TestReadCacheCoherenceOracle run: a cache of
+// cacheBytes over index entries of gran bytes.
+func coherenceOracle(t *testing.T, cacheBytes, gran int64) {
+	dir := t.TempDir()
+	s := openStore(t, Config{
+		Dir:            dir,
+		Sync:           SyncNever,
+		SyncEvery:      time.Hour, // no background pass racing the oracle
+		MaxFileSize:    512,
+		MaxLogBytes:    2 << 10,
+		MaxLogAge:      time.Hour,
+		ReadCacheBytes: cacheBytes,
+	})
+	s.idxGran = gran
+	clock := int64(1_000_000)
+	s.now = func() time.Time { return time.UnixMilli(clock) }
+	const dev = "oracle"
+	segs := simplified(t, gen.Taxi, 900, 29)
+
+	appendPhase := func(from, to int) {
+		t.Helper()
+		for i := from; i < to; i += 4 {
+			clock += 1000
+			if err := s.Append(dev, segs[i:min(i+4, to)]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	verify := func() {
+		t.Helper()
+		verifyAgainstRaw(t, s, dir, dev) // populates the cache
+		verifyAgainstRaw(t, s, dir, dev) // answered from it
+	}
+
+	// Phase 1: plain growth across several rotations.
+	appendPhase(0, len(segs)/2)
+	verify()
+
+	// Phase 2: more growth — the cached tail granules from phase 1
+	// must not shadow the records appended since (tail spans re-key
+	// as they grow), and size-budget deletes fire at rotation.
+	appendPhase(len(segs)/2, len(segs))
+	verify()
+
+	// Phase 3: re-ingest an old time span — entries go unsorted, and
+	// last-appended-wins must hold through the cache.
+	if err := s.Append(dev, segs[len(segs)/3:len(segs)/3+30]); err != nil {
+		t.Fatal(err)
+	}
+	verify()
+
+	// Phase 4: expire everything appended so far and compact — the
+	// oldest surviving file is rewritten without its expired prefix,
+	// reusing byte offsets for different records. Stale granules
+	// must go with it.
+	clock += (3 * time.Hour).Milliseconds()
+	if err := s.CompactNow(); err != nil {
+		t.Fatal(err)
+	}
+	verify()
+
+	// Phase 5: life goes on after truncation.
+	if err := s.Append(dev, segs[:8]); err != nil {
+		t.Fatal(err)
+	}
+	verify()
+
+	st := s.Stats()
+	if cacheBytes > 0 && (st.ReadCacheHits == 0 || st.ReadCacheMiss == 0) {
+		t.Fatalf("cache never exercised: %+v", st)
+	}
+	if cacheBytes == 4<<10 && st.ReadCacheDeclined == 0 {
+		t.Fatalf("a full cache never declined a miss: %+v", st)
+	}
+	if st.DeletedFiles == 0 {
+		t.Fatalf("size-budget deletes never fired — shrink MaxLogBytes: %+v", st)
+	}
+	if st.PrefixTruncations == 0 {
+		t.Fatalf("prefix truncation never fired: %+v", st)
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 // deleted: it is the live append target, so under a pure byte budget a
 // log can always answer "where was this device last".
 //
-// MaxLogAge additionally works at record-range granularity: when the
+// MaxLogAge additionally works at index-entry granularity: when the
 // oldest surviving file's time index shows an expired prefix worth at
 // least truncateFraction of its payload, the file is rewritten without
 // that prefix (temp file + rename, crash-safe). A slow device whose
@@ -153,6 +153,8 @@ func (s *Store) truncatePrefixLocked(l *deviceLog) error {
 	if k <= 0 {
 		return nil
 	}
+	// The cut stays on an entry offset, a chain start, so the rewritten
+	// file opens with a record that decodes on its own.
 	cut := fi.dataLen
 	if k < len(fi.entries) {
 		cut = fi.entries[k].off

@@ -67,7 +67,7 @@ func wantBatches(t *testing.T) []traj.Segment {
 	segs := syntheticSegs(nFaultBatch)
 	out := make([]traj.Segment, 0, nFaultBatch)
 	for k := range segs {
-		rt, err := decodeRecordPayload(nil, appendRecordPayload(nil, segs[k:k+1]))
+		rt, err := decodeOne(nil, chainStart(segs[k:k+1]))
 		if err != nil || len(rt) != 1 {
 			t.Fatalf("codec round-trip of batch %d: %v", k, err)
 		}

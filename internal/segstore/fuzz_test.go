@@ -108,7 +108,7 @@ func FuzzDecodeIndex(f *testing.F) {
 // reference cannot judge it: FuzzRecordV2 covers those.
 func FuzzDecodeRecordRange(f *testing.F) {
 	f.Add([]byte{})
-	seedRecords(f, appendRecordPayloadV1)
+	seedRecords(f, v1Records)
 	prefix := syntheticSegs(2)
 	f.Fuzz(func(t *testing.T, b []byte) {
 		if hasV2Record(b) {
@@ -119,7 +119,7 @@ func FuzzDecodeRecordRange(f *testing.F) {
 			got, want func([]traj.Segment, []byte) ([]traj.Segment, error)
 		}{
 			{"range", decodeRecordRange, refDecodeRecordRange},
-			{"payload", decodeRecordPayload, refDecodeRecordPayload},
+			{"payload", decodeOne, refDecodeRecordPayload},
 		} {
 			for _, dst := range []func() []traj.Segment{
 				func() []traj.Segment { return nil },
@@ -140,12 +140,15 @@ func FuzzDecodeRecordRange(f *testing.F) {
 
 // seedRecords adds encode's records of syntheticSegs and of a simplified
 // trajectory of every gen preset to f's corpus: each payload on its own,
-// and each batch's payloads framed into one span.
-func seedRecords(f *testing.F, encode func([]byte, []traj.Segment) []byte) {
+// and each batch's payloads framed into one span, chained if encode
+// chains.
+func seedRecords(f *testing.F, encode recordEncoder) {
 	seed := func(segs []traj.Segment, chunk int) {
 		var span []byte
+		var c chain
 		for off := 0; off < len(segs); off += chunk {
-			payload := encode(nil, segs[off:min(off+chunk, len(segs))])
+			var payload []byte
+			payload, c = encode(nil, segs[off:min(off+chunk, len(segs))], c)
 			f.Add(payload)
 			span = enc.AppendFrame(span, payload)
 		}
@@ -187,11 +190,11 @@ func hasV2Record(b []byte) bool {
 // layout; such segments must still keep their times, indexes and flags.
 func FuzzRecordV2(f *testing.F) {
 	f.Add([]byte{recordV2})
-	seedRecords(f, appendRecordPayload)
+	seedRecords(f, v2Records)
 	prefix := syntheticSegs(2)
 	f.Fuzz(func(t *testing.T, b []byte) {
 		decodeRecordRange(nil, b) // must not panic
-		segs, err := decodeRecordPayload(append([]traj.Segment(nil), prefix...), b)
+		segs, err := decodeOne(append([]traj.Segment(nil), prefix...), b)
 		if err != nil {
 			return
 		}
@@ -199,8 +202,8 @@ func FuzzRecordV2(f *testing.F) {
 			t.Fatalf("decoding overwrote the destination's segments")
 		}
 		segs = segs[len(prefix):]
-		again := appendRecordPayload(nil, segs)
-		back, err := decodeRecordPayload(nil, again)
+		again := chainStart(segs)
+		back, err := decodeOne(nil, again)
 		if err != nil {
 			t.Fatalf("re-encoded payload %x does not decode: %v", again, err)
 		}

@@ -31,20 +31,24 @@ func goldenSegments() []traj.Segment {
 }
 
 // TestGoldenLogFile pins the complete on-disk format — file magic, CRC
-// framing, record payload encoding — as produced by a real Append, in
-// record_v2.golden. Any byte-level change breaks old logs and must be a
-// deliberate, version-bumped decision, not a silent diff.
-// record_v1.golden is the same segments as the store wrote them before
-// the v2 layout (a TSG1 file of v1 records): it is a read fixture now,
-// and both must keep replaying on current code.
+// framing, record payload encoding, chaining — as produced by real
+// Appends, in record_v3.golden: one Append per segment, so a chain start
+// and two records chained to it. Any byte-level change breaks old logs
+// and must be a deliberate, version-bumped decision, not a silent diff.
+// record_v1.golden (a TSG1 file of v1 records) and record_v2.golden (a
+// TSG2 file of one unchained v2 record) are the same segments as the
+// store wrote them before: they are read fixtures now, and all three
+// must keep replaying on current code.
 func TestGoldenLogFile(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(Config{Dir: dir, Sync: SyncNever})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Append("golden", goldenSegments()); err != nil {
-		t.Fatal(err)
+	for _, sg := range goldenSegments() {
+		if err := s.Append("golden", []traj.Segment{sg}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -54,7 +58,7 @@ func TestGoldenLogFile(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	path := filepath.Join("testdata", "record_v2.golden")
+	path := filepath.Join("testdata", "record_v3.golden")
 	if *update {
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
@@ -74,7 +78,7 @@ func TestGoldenLogFile(t *testing.T) {
 
 	// The checked-in fixtures must keep replaying on current code: copy
 	// each into a fresh store layout and read it back.
-	for _, name := range []string{"record_v1.golden", "record_v2.golden"} {
+	for _, name := range []string{"record_v1.golden", "record_v2.golden", "record_v3.golden"} {
 		fixture, err := os.ReadFile(filepath.Join("testdata", name))
 		if err != nil {
 			t.Fatal(err)
@@ -106,12 +110,22 @@ func replayFixture(t *testing.T, fixture []byte) []traj.Segment {
 
 // TestUpgradeFromV1Log: a data directory written before the v2 layout —
 // record_v1.golden as a device's only file — opens, takes appends and
-// restarts. The TSG1 file is sealed with its bytes unchanged and gains
-// its sidecar before the first v2 record, which starts a TSG2 file; the
-// restarted store keeps appending there, and replay returns the v1
-// history followed by the new segments.
-func TestUpgradeFromV1Log(t *testing.T) {
-	fixture, err := os.ReadFile(filepath.Join("testdata", "record_v1.golden"))
+// restarts (checkUpgrade).
+func TestUpgradeFromV1Log(t *testing.T) { checkUpgrade(t, "record_v1.golden") }
+
+// TestUpgradeFromV2Log: the same for a data directory written before
+// chaining, whose records a TSG2 file holds unchained.
+func TestUpgradeFromV2Log(t *testing.T) { checkUpgrade(t, "record_v2.golden") }
+
+// checkUpgrade installs fixture as a device's only file and appends to
+// it twice, restarting the store around each append. The old file is
+// sealed with its bytes unchanged and gains its sidecar before the first
+// new record, which starts a TSG3 file; the restarted store recovers the
+// chain from that file and appends the second record there, chained to
+// the first, and replay returns the fixture's history followed by the
+// new segments.
+func checkUpgrade(t *testing.T, name string) {
+	fixture, err := os.ReadFile(filepath.Join("testdata", name))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,24 +162,33 @@ func TestUpgradeFromV1Log(t *testing.T) {
 		}
 	}
 	if b, err := os.ReadFile(filepath.Join(devDir, fileName(1))); err != nil || !bytes.Equal(b, fixture) {
-		t.Fatalf("the v1 file changed: %x, %v", b, err)
+		t.Fatalf("the old file changed: %x, %v", b, err)
 	}
 	if _, err := os.Stat(filepath.Join(devDir, idxName(1))); err != nil {
-		t.Fatalf("the sealed v1 file has no sidecar: %v", err)
+		t.Fatalf("the sealed old file has no sidecar: %v", err)
 	}
 	b, err := os.ReadFile(filepath.Join(devDir, fileName(2)))
 	if err != nil || string(b[:len(fileMagic)]) != fileMagic {
 		t.Fatalf("file 2 starts %q, want %q (%v)", b, fileMagic, err)
 	}
 	if files, _ := filepath.Glob(filepath.Join(devDir, "*"+fileSuffix)); len(files) != 2 {
-		t.Fatalf("log files %v, want 1 and 2: the restarted store must append to the TSG2 file", files)
+		t.Fatalf("log files %v, want 1 and 2: the restarted store must append to the TSG3 file", files)
+	}
+	// The second record continues the chain the restarted store
+	// recovered from the first.
+	first, _ := appendRecordPayload(nil, more[:1], chain{})
+	off := len(fileMagic) + len(enc.AppendFrame(nil, first))
+	payload, _, err := enc.Frame(b[off:], maxRecordPayload)
+	if err != nil || !chainedRecord(payload) {
+		t.Fatalf("file 2's second record %x is not chained (%v)", b[off:], err)
 	}
 }
 
 // TestDowngradeRefusesV2Log: a store from before the v2 layout must not
 // take a file the current store wrote for a log with a torn tail — its
 // recovery would truncate the undecodable v2 records away as one, under
-// maxTornTail. The TSG2 header makes its scan refuse the file instead.
+// maxTornTail. The file's header, TSG2 then and TSG3 now, makes its
+// scan refuse the file instead.
 func TestDowngradeRefusesV2Log(t *testing.T) {
 	dir := t.TempDir()
 	s := openStore(t, Config{Dir: dir, Sync: SyncNever})
@@ -182,6 +205,35 @@ func TestDowngradeRefusesV2Log(t *testing.T) {
 	relabelled := append([]byte(fileMagicV1), b[len(fileMagic):]...)
 	if n, err := scanLogV1(relabelled); err != nil || n != int64(len(fileMagicV1)) {
 		t.Fatalf("pre-v2 scan of v2 records under TSG1: valid prefix %d, %v; want the header alone", n, err)
+	}
+}
+
+// TestDowngradeRefusesV3Log: a store from before chaining must not take
+// a TSG3 file for a log with a torn tail — its recovery would stop at
+// the first chained record, whose chain bit it reads as a bad head, and
+// truncate the rest away as one, under maxTornTail. The TSG3 header
+// makes its scan refuse the file instead, truncating nothing.
+func TestDowngradeRefusesV3Log(t *testing.T) {
+	dir := t.TempDir()
+	s := openStore(t, Config{Dir: dir, Sync: SyncNever})
+	appendInChunks(t, s, "dev", simplified(t, gen.Taxi, 2000, 61), 2)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, b := logBytes(t, dir, "dev")
+	if n, err := scanLogV2(b); !errors.Is(err, ErrCorrupt) || n != 0 {
+		t.Fatalf("pre-chaining scan of a TSG3 file: valid prefix %d of %d bytes, error %v; want ErrCorrupt", n, len(b), err)
+	}
+	// The header is what protects the records: under a TSG2 header the
+	// same scan would keep the first record, a chain start, and call the
+	// rest a torn tail.
+	first, n, err := enc.Frame(b[len(fileMagic):], maxRecordPayload)
+	if err != nil || chainedRecord(first) {
+		t.Fatalf("the log does not open with a chain start: %v", err)
+	}
+	relabelled := append([]byte(fileMagicV2), b[len(fileMagic):]...)
+	if got, err := scanLogV2(relabelled); err != nil || got != int64(len(fileMagic)+n) {
+		t.Fatalf("pre-chaining scan of chained records under TSG2: valid prefix %d, %v; want %d", got, err, len(fileMagic)+n)
 	}
 }
 

@@ -19,8 +19,13 @@ import (
 // bytes, not records: adjacent records coalesce into one entry until it
 // spans indexGranularity bytes, so a device drip-feeding tiny batches
 // costs ~1k entries per 64 MiB file, not one per batch. Every entry
-// offset is still a record boundary, so a reader can start decoding
-// there.
+// offset is a chain start (record.go): the writer starts a chain exactly
+// where it opens an entry and chains every other record to the one
+// before it, so an entry's span is self-contained — a reader can start
+// decoding there, and nowhere else. A rebuild from the data places
+// entries at chain starts only, whatever the granularity; a span that
+// starts on a chained record cannot come from a true index, and fails
+// to decode (read.go).
 //
 // Lifecycle: the newest file's index lives in memory (l.tail), built
 // from the same recovery scan that validates the file at open and
@@ -43,9 +48,9 @@ import (
 // against the previous entry. dataLen is the valid byte length of the
 // .seg file the index describes — the staleness check.
 
-// indexEntry describes one record frame of a log file.
+// indexEntry describes one span of record frames of a log file.
 type indexEntry struct {
-	off  int64 // byte offset of the frame in the file
+	off  int64 // byte offset of the span's first frame, a chain start, in the file
 	minT int64 // earliest segment start in the record (ms)
 	maxT int64 // latest segment end in the record (ms)
 	wall int64 // unix ms when the record was appended (file mtime when rebuilt)
@@ -63,9 +68,9 @@ const (
 	// maxRecordPayload: larger declared sizes are treated as corruption.
 	maxIndexPayload = 4 << 20
 	// defaultIndexGranularity is the byte span adjacent records coalesce
-	// into per index entry: the unit a range read over-reads and record-
-	// range retention truncates by. Tests shrink Store.idxGran to force
-	// per-record entries.
+	// into per index entry: the unit a range read over-reads, record-range
+	// retention truncates by, and a chain of records runs for. Tests
+	// shrink Store.idxGran to force per-record entries.
 	defaultIndexGranularity = 64 << 10
 )
 
@@ -163,39 +168,20 @@ func decodeIndexFile(b []byte) (dataLen int64, entries []indexEntry, err error) 
 	return int64(size), entries, nil
 }
 
-// addTail extends the newest file's in-memory index with the record
-// just appended at off, coalescing into the previous entry while it
-// spans under gran bytes. Caller holds l.mu.
+// addTail applies the staged entry of a record now on disk to the
+// newest file's in-memory index: a chain start opens an entry, a
+// chained record widens the current one. Caller holds l.mu.
 //
 //trajlint:holds l.mu
-func (l *deviceLog) addTail(off, minT, maxT, wall, gran int64) {
-	if n := len(l.tail); n > 0 && off-l.tail[n-1].off < gran {
+func (l *deviceLog) addTail(p tailSpan, wall int64) {
+	if n := len(l.tail); n > 0 && !p.opens {
 		e := &l.tail[n-1]
-		e.minT = min(e.minT, minT)
-		e.maxT = max(e.maxT, maxT)
+		e.minT = min(e.minT, p.minT)
+		e.maxT = max(e.maxT, p.maxT)
 		e.wall = max(e.wall, wall)
 		return
 	}
-	l.tail = append(l.tail, indexEntry{off: off, minT: minT, maxT: maxT, wall: wall})
-}
-
-// coalesceEntries merges the per-record entries of a rebuild scan into
-// gran-byte spans, in place — the same grouping addTail applies on the
-// append path. Entry wall stamps take the newest of the merged records,
-// so retention never drops a span before its youngest record expires.
-func coalesceEntries(entries []indexEntry, gran int64) []indexEntry {
-	out := entries[:0]
-	for _, e := range entries {
-		if n := len(out); n > 0 && e.off-out[n-1].off < gran {
-			p := &out[n-1]
-			p.minT = min(p.minT, e.minT)
-			p.maxT = max(p.maxT, e.maxT)
-			p.wall = max(p.wall, e.wall)
-			continue
-		}
-		out = append(out, e)
-	}
-	return out
+	l.tail = append(l.tail, indexEntry{off: p.off, minT: p.minT, maxT: p.maxT, wall: wall})
 }
 
 // entriesSorted reports whether entries are non-decreasing in both time
@@ -299,7 +285,7 @@ func (s *Store) readSealedIndex(l *deviceLog, seq int) (fileIndex, error) {
 	if err != nil {
 		return fileIndex{}, fmt.Errorf("segstore: %w", err)
 	}
-	_, entries, validLen, err := scanLog(nil, nil, b, st.ModTime().UnixMilli())
+	entries, validLen, _, err := scanLog(b, st.ModTime().UnixMilli(), s.idxGran)
 	if err != nil {
 		return fileIndex{}, fmt.Errorf("%w (%s)", err, l.path(seq))
 	}
@@ -308,7 +294,6 @@ func (s *Store) readSealedIndex(l *deviceLog, seq int) (fileIndex, error) {
 		// the newest file.
 		return fileIndex{}, fmt.Errorf("%w: torn record mid-log (%s)", ErrCorrupt, l.path(seq))
 	}
-	entries = coalesceEntries(entries, s.idxGran)
 	s.indexRebuilds.Add(1)
 	_ = l.writeIndex(s, seq, validLen, entries) // best effort; rebuilt again next time
 	return fileIndex{entries: entries, dataLen: validLen}, nil

@@ -80,6 +80,7 @@ func (s *Store) tryUnquarantine(l *deviceLog) error {
 	l.setSeqs(nil)
 	l.size = 0
 	l.tail = nil
+	l.chain = chain{}
 	l.idxCache = nil
 	if err := l.open(s); err != nil {
 		l.quarTries++

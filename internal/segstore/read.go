@@ -343,16 +343,15 @@ const (
 )
 
 // estimateSegs sizes a range read's result from the bytes of the fully
-// included spans: a v2 record of a continuous stream stores about 11.7
+// included spans: a continuous stream's history records store about 11
 // bytes per segment, framing included (TestStoredBytesPerSegment; v1
-// records about 15), so bytes/12 lands near the truth for history
-// records and overshoots the two-segment records of live appends, about
-// 19 bytes a segment on servebench's ingest-fleet, by 1.6× — one
-// allocation up front instead of log(n) regrowths while appending a big
-// window. Boundary entries are mostly filtered away, so they contribute
-// a token few slots rather than their byte mass (a narrow window over
-// fat coalesced spans must not allocate for every segment it is about
-// to discard).
+// records about 15), so bytes/12 lands near the truth for them and
+// overshoots the chained one- to three-segment records of live appends,
+// about 14 bytes a segment, by 1.2× — one allocation up front instead
+// of log(n) regrowths while appending a big window. Boundary entries
+// are mostly filtered away, so they contribute a token few slots rather
+// than their byte mass (a narrow window over fat coalesced spans must
+// not allocate for every segment it is about to discard).
 func estimateSegs(innerBytes int64, boundary int) int {
 	n := innerBytes/12 + int64(boundary)*8
 	if n < 16 {
@@ -435,14 +434,19 @@ func (s *Store) SegmentAt(device string, t int64) (traj.Segment, error) {
 }
 
 // decodeRecordRange appends the segments of consecutive whole records in
-// b — a byte range starting and ending on record boundaries — to dst.
+// b — a byte range starting at a chain start and ending on a record
+// boundary, such as an index entry's span — to dst, carrying the chain
+// from record to record. A span whose first record is chained fails
+// with ErrCorrupt: it cannot come from a true index, so readPlan
+// rebuilds a sealed file's index instead of decoding shifted positions.
 func decodeRecordRange(dst []traj.Segment, b []byte) ([]traj.Segment, error) {
+	var c chain
 	for off := 0; off < len(b); {
 		payload, n, err := enc.Frame(b[off:], maxRecordPayload)
 		if err != nil {
 			return dst, err
 		}
-		if dst, err = decodeRecordPayload(dst, payload); err != nil {
+		if dst, err = decodeRecordPayload(dst, payload, &c); err != nil {
 			return dst, err
 		}
 		off += n

@@ -13,12 +13,9 @@ import (
 
 // On-disk record payload: one batch of finalized segments for one
 // device, varint delta-coded with the same 1 cm / 1 ms quantization as
-// the wire formats in internal/trajio. Each payload is self-contained
-// (delta state resets per record), so any prefix of a log replays
-// without the records that follow it — the property torn-tail recovery
-// and index entries rely on. Payloads are wrapped in enc.AppendFrame CRC
-// framing by the log writer. A payload is in one of two layouts, told
-// apart by its first byte.
+// the wire formats in internal/trajio. Payloads are wrapped in
+// enc.AppendFrame CRC framing by the log writer. A payload is in one of
+// two layouts, told apart by its first byte.
 //
 // v1, written before the v2 layout (in TSG1 files) and still decoded:
 //
@@ -34,8 +31,9 @@ import (
 //	0x00 | uvarint(count) | count × (head [Start] [zigzag(StartIdx−prevEndIdx)] End uvarint(EndIdx−StartIdx))
 //
 // The leading 0x00 (a v1 count is never 0) marks the layout. head is a
-// uvarint below 16, so one byte: the flag bits as in v1, and in bits 2–3
-// how Start is stored; every higher bit is 0, and the decoder rejects
+// uvarint below 32, so one byte: the flag bits as in v1, in bits 2–3
+// how Start is stored, and in bit 4, on a record's first segment only,
+// the chain bit (below); every other bit is 0, and the decoder rejects
 // any other head byte:
 //
 //	mode 0: Start is the previous End; StartIdx is the previous EndIdx
@@ -43,14 +41,26 @@ import (
 //	mode 2: Start is the previous End; StartIdx follows as a varint
 //	mode 3: Start follows as three deltas against the previous End, then StartIdx
 //
-// End is three deltas against Start. The first segment is always mode 3,
-// against the origin (0, 0, 0) and index 0, which keeps records
-// self-contained. The encoder picks a lower mode only when the quantized
-// values are equal, so a v2 record decodes to exactly the segments the
-// v1 record of the same batch decodes to; a continuous stream's segment
-// costs its head, End and span: 5 bytes at the least. On the gen
-// presets' records that is 11.7 bytes per segment, framing included,
-// against 15.1 in v1 (TestStoredBytesPerSegment).
+// End is three deltas against Start. The encoder picks a lower mode
+// only when the quantized values are equal, so a v2 record decodes to
+// exactly the segments the v1 record of the same batch decodes to; a
+// continuous stream's segment costs its head, End and span: 5 bytes at
+// the least.
+//
+// Chains. A record whose first head carries the chain bit is chained:
+// its first segment is coded against the last End and EndIdx of the
+// record before it in the file, in any of the four modes, so decoding
+// it needs that record. Any other record is a chain start: its first
+// segment is mode 3 against the origin (0, 0, 0) and index 0. Every v1
+// record, and every record of a TSG2 file, is a chain start. The log
+// writer (segstore.go) makes a record a chain start exactly where it
+// opens a time-index entry (index.go), so the self-contained unit — the
+// span a reader starts decoding at — is the index entry, not the record,
+// and a live append's small record no longer restates an absolute
+// position, time and index. On the gen presets' OPERB-A output that is
+// 14.2 bytes per segment for the records of 16-point batches, one to
+// three segments each, against 21.0 unchained, and 11.2 for 256-point
+// batches against 11.7, framing included (TestStoredBytesPerSegment).
 
 // ErrCorrupt is returned when a log file fails validation somewhere a
 // torn tail cannot explain (bad magic, or a broken record that is not
@@ -66,9 +76,12 @@ const (
 	flagVirtStart = 1
 	flagVirtEnd   = 2
 	// recordV2 is the first byte of a v2 payload. headModeShift places the
-	// start mode in a v2 head; a head at or above maxHead is malformed.
+	// start mode in a v2 head; headChained is the chain bit of a record's
+	// first head. A head at or above maxHead, the chain bit aside, is
+	// malformed.
 	recordV2      = 0x00
 	headModeShift = 2
+	headChained   = 16
 	maxHead       = 16
 	// v2 start modes (see the layout above).
 	modeSame     = 0 // Start = previous End, StartIdx = previous EndIdx
@@ -94,17 +107,31 @@ const (
 	maxTornTail = maxRecordPayload + 16
 )
 
+// chain is what a chained record is coded against: the last End of the
+// record before it, in 1 cm and 1 ms counts, and its EndIdx. ok is
+// false where no record can chain: before a file's first record, after
+// a v1 or an empty record, and after a record that failed to decode.
+type chain struct {
+	x, y, t int64
+	idx     int
+	ok      bool
+}
+
 // appendRecordPayload encodes one batch of segments as a v2 payload,
-// appending to dst.
-func appendRecordPayload(dst []byte, segs []traj.Segment) []byte {
+// appending to dst. The record is chained to c when c.ok, else a chain
+// start. It returns the chain the next record may continue: segs' last
+// End and EndIdx.
+func appendRecordPayload(dst []byte, segs []traj.Segment, c chain) ([]byte, chain) {
 	dst = append(dst, recordV2)
 	dst = enc.AppendUvarint(dst, uint64(len(segs)))
-	var x, y, t int64 // the previous End, quantized; the origin before the first segment
-	var eidx int      // the previous EndIdx
+	if !c.ok {
+		c = chain{} // a chain start is coded against the origin and index 0
+	}
+	x, y, t, eidx := c.x, c.y, c.t, c.idx // the previous End, quantized, and EndIdx
 	for i, s := range segs {
 		sx, sy := quantCount(s.Start.X), quantCount(s.Start.Y)
 		mode := modeAbsolute
-		if i > 0 && sx == x && sy == y && s.Start.T == t {
+		if (i > 0 || c.ok) && sx == x && sy == y && s.Start.T == t {
 			switch s.StartIdx - eidx {
 			case 0:
 				mode = modeSame
@@ -115,6 +142,9 @@ func appendRecordPayload(dst []byte, segs []traj.Segment) []byte {
 			}
 		}
 		head := byte(mode << headModeShift)
+		if i == 0 && c.ok {
+			head |= headChained
+		}
 		if s.VirtualStart {
 			head |= flagVirtStart
 		}
@@ -137,7 +167,7 @@ func appendRecordPayload(dst []byte, segs []traj.Segment) []byte {
 		dst = enc.AppendUvarint(dst, uint64(s.EndIdx-s.StartIdx))
 		eidx = s.EndIdx
 	}
-	return dst
+	return dst, chain{x: x, y: y, t: t, idx: eidx, ok: len(segs) > 0}
 }
 
 // quantCount maps a coordinate onto its 1 cm count, the way
@@ -145,17 +175,22 @@ func appendRecordPayload(dst []byte, segs []traj.Segment) []byte {
 func quantCount(v float64) int64 { return int64(math.Round(v / quantXY)) }
 
 // decodeRecordPayload decodes one record payload of either layout,
-// appending the segments to dst. Every span read pays for this, so both
-// layouts decode in place: dst grows once from the record's count and
-// each segment is written straight into it. A one-byte varint — most of
-// a continuous stream's fields — takes a fast path, and an error is
-// built only once decoding has failed. FuzzDecodeRecordRange holds the
-// v1 arm to the decoder built on PointDelta.Next that it replaced;
-// FuzzRecordV2 holds the v2 arm to the encoder.
-func decodeRecordPayload(dst []traj.Segment, payload []byte) ([]traj.Segment, error) {
+// appending the segments to dst. c is the chain a chained record
+// continues; it becomes the chain the record leaves for the next one,
+// and is broken (not ok) after a failure. Every span read pays for
+// this, so both layouts decode in place: dst grows once from the
+// record's count and each segment is written straight into it. A
+// one-byte varint — most of a continuous stream's fields — takes a fast
+// path, and an error is built only once decoding has failed.
+// FuzzDecodeRecordRange holds the v1 arm to the decoder built on
+// PointDelta.Next that it replaced; FuzzRecordV2 holds the v2 arm to
+// the encoder, and FuzzRecordChain chained spans to a plain reference
+// decoder.
+func decodeRecordPayload(dst []traj.Segment, payload []byte, c *chain) ([]traj.Segment, error) {
 	if len(payload) > 0 && payload[0] == recordV2 {
-		return decodeRecordV2(dst, payload[1:])
+		return decodeRecordV2(dst, payload[1:], c)
 	}
+	c.ok = false // a v1 record is never continued
 	return decodeRecordV1(dst, payload)
 }
 
@@ -211,8 +246,11 @@ func decodeRecordV1(dst []traj.Segment, payload []byte) ([]traj.Segment, error) 
 	return dst, nil
 }
 
-// decodeRecordV2 decodes a v2 payload after its leading 0x00.
-func decodeRecordV2(dst []traj.Segment, payload []byte) ([]traj.Segment, error) {
+// decodeRecordV2 decodes a v2 payload after its leading 0x00, chained
+// to c if its first head says so.
+func decodeRecordV2(dst []traj.Segment, payload []byte, c *chain) ([]traj.Segment, error) {
+	in := *c
+	c.ok = false
 	count, n := binary.Uvarint(payload)
 	if n <= 0 {
 		return dst, fmt.Errorf("%w: record count: %v", ErrCorrupt, varintErr(n))
@@ -226,7 +264,17 @@ func decodeRecordV2(dst []traj.Segment, payload []byte) ([]traj.Segment, error) 
 	var x, y, t int64   // the previous End, quantized
 	var prev traj.Point // the previous End, decoded
 	var eidx int        // the previous EndIdx
-	var v [8]uint64     // Start x, y, t; start-index delta; End x, y, t; index span
+	// A chained record starts from c. (count > 0 means the payload holds
+	// at least a head; a first head that is malformed besides its chain
+	// bit is reported by the loop.)
+	if count > 0 && payload[0]&headChained != 0 && payload[0]&^headChained < maxHead {
+		if !in.ok {
+			return dst[:base], fmt.Errorf("%w: segment 0: chained record without a chain start", ErrCorrupt)
+		}
+		x, y, t, eidx = in.x, in.y, in.t, in.idx
+		prev = traj.Point{X: float64(x) * quantXY, Y: float64(y) * quantXY, T: t}
+	}
+	var v [8]uint64 // Start x, y, t; start-index delta; End x, y, t; index span
 	p := 0
 	for i := range dst[base:] {
 		if p >= len(payload) {
@@ -234,8 +282,12 @@ func decodeRecordV2(dst []traj.Segment, payload []byte) ([]traj.Segment, error) 
 		}
 		head := payload[p]
 		p++
-		mode := head >> headModeShift
-		if head >= maxHead || i == 0 && mode != modeAbsolute {
+		h := head // the head without a first segment's chain bit
+		if i == 0 {
+			h &^= headChained
+		}
+		mode := h >> headModeShift
+		if h >= maxHead || i == 0 && h == head && mode != modeAbsolute {
 			return dst[:base+i], fmt.Errorf("%w: segment %d: bad head %#x", ErrCorrupt, i, head)
 		}
 		// A mode stores the fields from firstField[mode] on.
@@ -279,7 +331,18 @@ func decodeRecordV2(dst []traj.Segment, payload []byte) ([]traj.Segment, error) 
 	if p != len(payload) {
 		return dst, fmt.Errorf("%w: %d trailing bytes in record", ErrCorrupt, len(payload)-p)
 	}
+	*c = chain{x: x, y: y, t: t, idx: eidx, ok: count > 0}
 	return dst, nil
+}
+
+// chainedRecord reports whether payload, a record that decoded, is
+// chained to the record before it.
+func chainedRecord(payload []byte) bool {
+	if len(payload) == 0 || payload[0] != recordV2 {
+		return false
+	}
+	count, n := binary.Uvarint(payload[1:])
+	return n > 0 && count > 0 && 1+n < len(payload) && payload[1+n]&headChained != 0
 }
 
 // firstField is the first of a v2 segment's varints each start mode

@@ -34,36 +34,78 @@ func presetRecords(t testing.TB, p gen.Preset, seed uint64) [][]traj.Segment {
 	return recs
 }
 
-// TestStoredBytesPerSegment pins what the v2 layout stores per segment
-// on realistic input: every gen preset's records, appended through the
-// store, framing included. The same records took about 15.1 bytes per
-// segment in the v1 layout, which the test logs alongside.
-func TestStoredBytesPerSegment(t *testing.T) {
-	s := openStore(t, Config{Sync: SyncNever})
-	var v1Bytes int
-	for i, p := range gen.Presets {
-		for _, rec := range presetRecords(t, p, uint64(90+i)) {
-			if err := s.Append(p.String(), rec); err != nil {
-				t.Fatal(err)
-			}
-			v1Bytes += len(enc.AppendFrame(nil, appendRecordPayloadV1(nil, rec)))
+// liveRecords returns the records a device streaming preset p's
+// 4,096-point trajectory in 16-point batches writes: each batch's points
+// pushed through a session's OPERB-A encoder (ζ = 40 m), the segments
+// they finalize one record, and the encoder's tail one more — one to
+// three segments per record, the records servebench's ingest-fleet
+// writes.
+func liveRecords(t testing.TB, p gen.Preset, seed uint64) [][]traj.Segment {
+	t.Helper()
+	e, err := core.NewAggressiveEncoder(40, core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts := gen.One(p, 4096, seed)
+	var recs [][]traj.Segment
+	for lo := 0; lo < len(pts); lo += 16 {
+		var rec []traj.Segment
+		for _, q := range pts[lo:min(lo+16, len(pts))] {
+			rec = append(rec, e.Push(q)...)
+		}
+		if len(rec) > 0 {
+			recs = append(recs, rec)
 		}
 	}
-	st := s.Stats()
-	perSeg := float64(st.Bytes) / float64(st.Segments)
-	t.Logf("%d segments in %d records: %.2f B/segment (v1 layout: %.2f)",
-		st.Segments, st.Appends, perSeg, float64(v1Bytes)/float64(st.Segments))
-	if perSeg > 12.5 {
-		t.Errorf("%.2f bytes per segment, want at most 12.5", perSeg)
+	if tail := e.Flush(); len(tail) > 0 {
+		recs = append(recs, append([]traj.Segment(nil), tail...))
+	}
+	return recs
+}
+
+// TestStoredBytesPerSegment pins what the store writes per segment on
+// realistic input, framing included: every gen preset's records,
+// appended through the store. The history arm writes a record per
+// 256-point batch, about 29 segments each; the live arm a record per
+// 16-point batch, one to three segments each, most of them chained. The
+// test logs what the same records take unchained and in the v1 layout:
+// 11.2 B/segment against 11.7 and 15.1 for history, and 14.2 against
+// 21.0 and 22.5 for live records, which the bound of 15 holds.
+func TestStoredBytesPerSegment(t *testing.T) {
+	for _, arm := range []struct {
+		name    string
+		records func(testing.TB, gen.Preset, uint64) [][]traj.Segment
+		bound   float64
+	}{{"history", presetRecords, 12.5}, {"live", liveRecords, 15}} {
+		t.Run(arm.name, func(t *testing.T) {
+			s := openStore(t, Config{Sync: SyncNever})
+			var v1Bytes, v2Bytes int
+			for i, p := range gen.Presets {
+				for _, rec := range arm.records(t, p, uint64(90+i)) {
+					if err := s.Append(p.String(), rec); err != nil {
+						t.Fatal(err)
+					}
+					v1Bytes += len(enc.AppendFrame(nil, appendRecordPayloadV1(nil, rec)))
+					v2Bytes += len(enc.AppendFrame(nil, chainStart(rec)))
+				}
+			}
+			st := s.Stats()
+			perSeg := float64(st.Bytes) / float64(st.Segments)
+			t.Logf("%d segments in %d records: %.2f B/segment (unchained: %.2f, v1 layout: %.2f)",
+				st.Segments, st.Appends, perSeg, float64(v2Bytes)/float64(st.Segments), float64(v1Bytes)/float64(st.Segments))
+			if perSeg > arm.bound {
+				t.Errorf("%.2f bytes per segment, want at most %.1f", perSeg, arm.bound)
+			}
+		})
 	}
 }
 
-// TestRecordV2MatchesV1: a batch encoded in either layout decodes to the
-// same segments — the v2 encoder takes a shortcut only where the
-// quantized values agree. The batches cover every start mode: realistic
-// encoder output, the golden segments (virtual endpoints, an index
-// jump), gaps in space, time and index, and Starts that differ from the
-// previous End below the 1 cm quantum.
+// TestRecordV2MatchesV1: a batch encoded in either layout, and cut into
+// chained records, decodes to the same segments — the v2 encoder takes
+// a shortcut only where the quantized values agree. The batches cover
+// every start mode: realistic encoder output, the golden segments
+// (virtual endpoints, an index jump), gaps in space, time and index, and
+// Starts that differ from the previous End below the 1 cm quantum.
 func TestRecordV2MatchesV1(t *testing.T) {
 	odd := []traj.Segment{
 		{Start: traj.At(5, 5, 1000), End: traj.At(9, 1, 2000), StartIdx: 7, EndIdx: 9},
@@ -83,26 +125,35 @@ func TestRecordV2MatchesV1(t *testing.T) {
 		batches = append(batches, simplified(t, p, 2000, uint64(80+i)))
 	}
 	for i, b := range batches {
-		want, err := decodeRecordPayload(nil, appendRecordPayloadV1(nil, b))
+		want, err := decodeOne(nil, appendRecordPayloadV1(nil, b))
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := decodeRecordPayload(nil, appendRecordPayload(nil, b))
+		got, err := decodeOne(nil, chainStart(b))
 		if err != nil {
 			t.Fatalf("batch %d: %v", i, err)
 		}
 		if !segsEqual(got, want) {
 			t.Fatalf("batch %d: v2 decodes to\n%v\nv1 to\n%v", i, got, want)
 		}
+		// Cut into chained records, each first segment takes the mode the
+		// same segment takes inside one record.
+		for _, chunk := range []int{1, 3} {
+			got, err := decodeRecordRange(nil, recordSpan(b, chunk, appendRecordPayload))
+			if err != nil || !segsEqual(got, want) {
+				t.Fatalf("batch %d in chained records of %d: %v, decodes to\n%v\nv1 to\n%v", i, chunk, err, got, want)
+			}
+		}
 	}
 }
 
 // TestMaxGranuleCostBoundsSpans: the cache admits a miss by the cost
 // maxGranuleCost predicts from the span's length on disk, so that must
-// bound the decoded cost of a span of either layout — including one of
+// bound the decoded cost of a span of any layout — including one of
 // segments as small as the v2 layout gets (5 bytes: a continuous
 // segment with a one-byte End and span), which v1's nine-byte minimum
-// would underestimate.
+// would underestimate, and spans of chained one-segment records, the
+// densest thing a live stream writes.
 func TestMaxGranuleCostBoundsSpans(t *testing.T) {
 	minimal := make([]traj.Segment, 600)
 	for i := range minimal {
@@ -115,13 +166,10 @@ func TestMaxGranuleCostBoundsSpans(t *testing.T) {
 	for name, segs := range cases {
 		for _, layout := range []struct {
 			name   string
-			encode func([]byte, []traj.Segment) []byte
-		}{{"v1", appendRecordPayloadV1}, {"v2", appendRecordPayload}} {
+			encode recordEncoder
+		}{{"v1", v1Records}, {"v2", v2Records}, {"chained", appendRecordPayload}} {
 			for _, chunk := range []int{1, 29, 600} {
-				var span []byte
-				for off := 0; off < len(segs); off += chunk {
-					span = enc.AppendFrame(span, layout.encode(nil, segs[off:min(off+chunk, len(segs))]))
-				}
+				span := recordSpan(segs, chunk, layout.encode)
 				decoded, err := decodeRecordRange(nil, span)
 				if err != nil {
 					t.Fatal(err)

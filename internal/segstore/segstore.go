@@ -7,16 +7,18 @@
 // Layout: one directory per device (ID percent-escaped), holding
 // size-rotated files 00000001.seg, 00000002.seg, … Each file starts with
 // a 4-byte magic and continues with CRC-framed records (enc.AppendFrame)
-// whose payloads are varint delta-coded segment batches (record.go). A
-// TSG2 file may hold records of either layout and is the only kind
-// written; a TSG1 file holds v1 records only, is still read, and is
-// rotated away before the first append after an upgrade, so a store
-// that cannot decode v2 refuses a TSG2 file rather than truncating its
-// records as a torn tail.
-// Records are self-contained, so recovery is a scan that truncates the
-// log at the first incomplete or corrupt frame of the newest file — a
-// torn tail from a crash mid-write — while any damage earlier in the log
-// is reported as corruption rather than silently skipped.
+// whose payloads are varint delta-coded segment batches (record.go).
+// Only TSG3 files are written: inside one, a record that does not open
+// a time-index entry is chained to the record before it, so an index
+// entry, not a record, is self-contained. TSG2 (v2 records) and TSG1
+// (v1 records) files hold chain starts only; they are still read, and a
+// log whose newest file is one of them rotates before its first append
+// after an upgrade, so a build that cannot decode chained records
+// refuses a TSG3 file rather than truncating them as a torn tail.
+// A file decodes front to back, so recovery is a scan that truncates
+// the log at the first incomplete or corrupt frame of the newest file —
+// a torn tail from a crash mid-write — while any damage earlier in the
+// log is reported as corruption rather than silently skipped.
 //
 // The store is resource-bounded the same way the paper's encoders are:
 // at most Config.MaxOpenFiles device logs hold an open file handle (an
@@ -61,7 +63,8 @@ var (
 )
 
 const (
-	fileMagic   = "TSG2"
+	fileMagic   = "TSG3"
+	fileMagicV2 = "TSG2" // files of unchained v2 records, written before TSG3
 	fileMagicV1 = "TSG1" // files of v1 records only, written before TSG2
 	fileSuffix  = ".seg"
 	tmpSuffix   = ".tmp"
@@ -293,7 +296,8 @@ type deviceLog struct {
 	f       file   //trajlint:guardedby mu -- newest file, open for append; nil until first write or after eviction
 	size    int64  //trajlint:guardedby mu -- valid bytes in the newest file
 	dirty   bool   //trajlint:guardedby mu -- has unsynced writes
-	v1      bool   //trajlint:guardedby mu -- the newest file is a TSG1 file; the next append rotates first
+	legacy  bool   //trajlint:guardedby mu -- the newest file is TSG1 or TSG2, which take no chained record; the next append rotates first
+	chain   chain  //trajlint:guardedby mu -- what the newest file's next record continues, as of size: it moves only with bytes on disk
 
 	// Quarantine state. A write or fsync failure poisons the log: failed
 	// is set, the file handle is discarded (a failed fsync is never
@@ -341,10 +345,12 @@ type deviceLog struct {
 
 // tailSpan is one staged time-index entry for a record sitting in the
 // write-combining buffer: recorded at encode time, applied to the tail
-// index only after its bytes reach the disk.
+// index only after its bytes reach the disk. opens marks a chain start,
+// the one kind of record that opens an index entry.
 type tailSpan struct {
 	off        int64
 	minT, maxT int64
+	opens      bool
 }
 
 // Open validates cfg, creates the root directory, and returns a running
@@ -575,40 +581,49 @@ func (l *deviceLog) setSeqs(seqs []int) {
 	}
 }
 
-// scanLog walks one file's bytes, appending decoded segments to dst,
-// one time-index entry per record to idx (stamped wall — the file mtime,
-// since a scan cannot know each record's true append time), and
-// returning the length of the valid prefix. A short or corrupt record
-// ends the scan (validLen marks where); only a bad file header is an
-// outright error. Both file magics are accepted: records carry their own
-// layout (record.go).
-func scanLog(dst []traj.Segment, idx []indexEntry, b []byte, wall int64) ([]traj.Segment, []indexEntry, int64, error) {
+// scanLog walks one file's bytes and returns its time index, stamped
+// wall (the file mtime, since a scan cannot know each record's true
+// append time), the length of the valid prefix, and the chain the
+// file's next record would continue. Entries open only at chain starts
+// — a chained record belongs to the entry its chain started in — and
+// coalesce until one spans gran bytes: the grouping the append path
+// applies (addTail), so a rebuilt index equals the one appends built,
+// whatever the granularity. A short or corrupt record ends the scan
+// (validLen marks where); only a bad file header is an outright error.
+// All three file magics are accepted: records carry their own layout
+// (record.go). Memory is one record's segments, however long the file.
+func scanLog(b []byte, wall, gran int64) (idx []indexEntry, validLen int64, c chain, err error) {
 	if len(b) < len(fileMagic) {
-		return dst, idx, 0, nil // torn during creation: nothing recoverable
+		return nil, 0, chain{}, nil // torn during creation: nothing recoverable
 	}
-	if m := string(b[:len(fileMagic)]); m != fileMagic && m != fileMagicV1 {
-		return dst, idx, 0, fmt.Errorf("%w: bad file magic %q", ErrCorrupt, m)
+	if m := string(b[:len(fileMagic)]); m != fileMagic && m != fileMagicV2 && m != fileMagicV1 {
+		return nil, 0, chain{}, fmt.Errorf("%w: bad file magic %q", ErrCorrupt, m)
 	}
+	var segs []traj.Segment
 	off := int64(len(fileMagic))
 	for off < int64(len(b)) {
 		payload, n, err := enc.Frame(b[off:], maxRecordPayload)
 		if err != nil {
-			return dst, idx, off, nil
+			return idx, off, c, nil
 		}
-		before := len(dst)
-		decoded, err := decodeRecordPayload(dst, payload)
-		if err != nil {
+		before := c
+		if segs, err = decodeRecordPayload(segs[:0], payload, &c); err != nil {
 			// CRC-valid but undecodable: stop here too, so everything the
 			// scan admits is replayable.
-			return dst, idx, off, nil
+			return idx, off, before, nil
 		}
-		dst = decoded
-		if minT, maxT, ok := segTimeRange(dst[before:]); ok {
-			idx = append(idx, indexEntry{off: off, minT: minT, maxT: maxT, wall: wall})
+		if minT, maxT, ok := segTimeRange(segs); ok {
+			if k := len(idx) - 1; k >= 0 && (chainedRecord(payload) || off-idx[k].off < gran) {
+				e := &idx[k]
+				e.minT = min(e.minT, minT)
+				e.maxT = max(e.maxT, maxT)
+			} else {
+				idx = append(idx, indexEntry{off: off, minT: minT, maxT: maxT, wall: wall})
+			}
 		}
 		off += int64(n)
 	}
-	return dst, idx, off, nil
+	return idx, off, c, nil
 }
 
 // segTimeRange returns the earliest segment start and latest segment end
@@ -716,12 +731,11 @@ func (l *deviceLog) open(s *Store) error {
 	// file. Wall stamps fall back to the file mtime — the last append —
 	// which keeps record-range retention no more aggressive than the
 	// whole-file mtime rule ever was.
-	var entries []indexEntry
-	_, entries, validLen, err := scanLog(nil, nil, b, fi.ModTime().UnixMilli())
+	// It also recovers the chain the next record continues.
+	entries, validLen, c, err := scanLog(b, fi.ModTime().UnixMilli(), s.idxGran)
 	if err != nil {
 		return fmt.Errorf("%w (%s)", err, l.newest)
 	}
-	l.tail = coalesceEntries(entries, s.idxGran)
 	// A torn tail is at most the bytes of one interrupted record write.
 	// Anything longer means damage inside previously acknowledged data —
 	// report it instead of silently truncating acknowledged records away.
@@ -729,8 +743,9 @@ func (l *deviceLog) open(s *Store) error {
 		return fmt.Errorf("%w: %d invalid bytes at offset %d — more than one torn write (%s)",
 			ErrCorrupt, torn, validLen, l.newest)
 	}
-	// A TSG1 file takes no v2 record: the next append rotates past it.
-	l.v1 = validLen >= int64(len(fileMagicV1)) && string(b[:len(fileMagicV1)]) == fileMagicV1
+	// A TSG1 or TSG2 file takes no chained record: the next append
+	// rotates past it.
+	l.legacy = validLen >= int64(len(fileMagic)) && string(b[:len(fileMagic)]) != fileMagic
 	if validLen < int64(len(b)) || validLen < int64(len(fileMagic)) {
 		f, err := s.fs.OpenFile(l.newest, os.O_RDWR, 0)
 		if err != nil {
@@ -757,7 +772,7 @@ func (l *deviceLog) open(s *Store) error {
 			return fmt.Errorf("segstore: %w", err)
 		}
 	}
-	l.size = validLen
+	l.size, l.tail, l.chain = validLen, entries, c
 	l.opened = true
 	// First contact in this process: bring a log written under older (or
 	// no) retention limits within budget.
@@ -784,7 +799,7 @@ func (l *deviceLog) create(s *Store, seq int) error {
 		s.fs.Remove(l.path(seq))
 		return fmt.Errorf("segstore: %w", err)
 	}
-	l.f, l.size, l.v1 = f, int64(len(fileMagic)), false
+	l.f, l.size, l.legacy, l.chain = f, int64(len(fileMagic)), false, chain{}
 	l.setSeqs(append(l.seqs, seq))
 	s.registerHandle(l)
 	if s.cfg.Sync == SyncAlways {
@@ -918,13 +933,20 @@ func (s *Store) appendLocked(l *deviceLog, segs []traj.Segment) error {
 	// a sweep-merged multi-batch payload costs one write. Each physical
 	// write stays within maxTornTail bytes, keeping the recovery invariant
 	// that a crash mid-write tears at most one truncatable tail. Index
-	// entries for buffered records are staged in pend and applied only
-	// once their bytes are on disk.
+	// entries for buffered records are staged in pend, and the chain the
+	// buffered records end on in c; both reach the log only once their
+	// bytes are on disk, so a failed or torn write leaves l.tail and
+	// l.chain describing what l.size does.
 	device := l.device
 	var written int64
 	wall := s.nowMs()
 	wbuf, pend := l.wbuf[:0], l.wtail[:0]
 	defer func() { l.wbuf, l.wtail = wbuf[:0], pend[:0] }()
+	c := l.chain
+	var entry int64 // offset of the index entry the next record would join
+	if n := len(l.tail); n > 0 {
+		entry = l.tail[n-1].off
+	}
 	flush := func() error {
 		if len(wbuf) == 0 {
 			return nil
@@ -936,8 +958,9 @@ func (s *Store) appendLocked(l *deviceLog, segs []traj.Segment) error {
 			// Index the records only now that they are fully on disk: a torn
 			// write must not leave entries pointing at truncated bytes.
 			for _, p := range pend {
-				l.addTail(p.off, p.minT, p.maxT, wall, s.idxGran)
+				l.addTail(p, wall)
 			}
+			l.chain = c
 			wbuf, pend = wbuf[:0], pend[:0]
 			return nil
 		}
@@ -956,10 +979,15 @@ func (s *Store) appendLocked(l *deviceLog, segs []traj.Segment) error {
 	}
 	for off := 0; off < len(segs); off += recordChunk {
 		chunk := segs[off:min(off+recordChunk, len(segs))]
-		l.payload = appendRecordPayload(l.payload[:0], chunk)
-		l.frame = enc.AppendFrame(l.frame[:0], l.payload)
-		frame := l.frame
+		// A record opens an index entry once the current one spans the
+		// index granularity, and the record that opens one is a chain
+		// start; every other record continues the chain (record.go).
 		pending := int64(len(wbuf))
+		if l.size+pending-entry >= s.idxGran {
+			c.ok = false
+		}
+		next := l.encodeRecord(chunk, c)
+		newFile := true
 		switch {
 		case l.f == nil:
 			seq := 1
@@ -969,7 +997,7 @@ func (s *Store) appendLocked(l *deviceLog, segs []traj.Segment) error {
 			if err := l.create(s, seq); err != nil {
 				return err
 			}
-		case l.v1 || l.size+pending > int64(len(fileMagic)) && l.size+pending+int64(len(frame)) > s.cfg.MaxFileSize:
+		case l.legacy || l.size+pending > int64(len(fileMagic)) && l.size+pending+int64(len(l.frame)) > s.cfg.MaxFileSize:
 			if err := flush(); err != nil {
 				return err
 			}
@@ -981,18 +1009,29 @@ func (s *Store) appendLocked(l *deviceLog, segs []traj.Segment) error {
 			// Failure here must not fail the append — the maintenance loop
 			// retries on its next tick.
 			_ = s.compactLocked(l)
+		default:
+			newFile = false
+		}
+		if newFile && c.ok {
+			// A new file starts a new chain.
+			c = chain{}
+			next = l.encodeRecord(chunk, c)
 		}
 		// Keep each physical write within the torn-tail budget recovery
 		// accepts: one interrupted write's worth of invalid bytes.
-		if len(wbuf) > 0 && len(wbuf)+len(frame) > maxTornTail {
+		if len(wbuf) > 0 && len(wbuf)+len(l.frame) > maxTornTail {
 			if err := flush(); err != nil {
 				return err
 			}
 		}
-		if minT, maxT, ok := segTimeRange(chunk); ok {
-			pend = append(pend, tailSpan{off: l.size + int64(len(wbuf)), minT: minT, maxT: maxT})
+		at := l.size + int64(len(wbuf))
+		if !c.ok {
+			entry = at
 		}
-		wbuf = append(wbuf, frame...)
+		minT, maxT, _ := segTimeRange(chunk)
+		pend = append(pend, tailSpan{off: at, minT: minT, maxT: maxT, opens: !c.ok})
+		wbuf = append(wbuf, l.frame...)
+		c = next
 	}
 	if err := flush(); err != nil {
 		return err
@@ -1003,6 +1042,17 @@ func (s *Store) appendLocked(l *deviceLog, segs []traj.Segment) error {
 	s.segments.Add(int64(len(segs)))
 	s.bytes.Add(written)
 	return nil
+}
+
+// encodeRecord encodes segs as one record chained to c (a chain start
+// unless c.ok) into l.frame, framed, and returns the chain it leaves.
+// Caller holds l.mu.
+//
+//trajlint:holds l.mu
+func (l *deviceLog) encodeRecord(segs []traj.Segment, c chain) chain {
+	l.payload, c = appendRecordPayload(l.payload[:0], segs, c)
+	l.frame = enc.AppendFrame(l.frame[:0], l.payload)
+	return c
 }
 
 // CommitDevices settles a group of deferred AppendNoSync writes: for

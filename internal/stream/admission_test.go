@@ -151,11 +151,11 @@ func TestShedColdest(t *testing.T) {
 		t.Error("shed session left no segments in the sink")
 	}
 	// The warmer sessions survived.
-	if _, ok := e.Flush("warm"); !ok {
-		t.Error("warm session was shed instead of the coldest")
+	if _, err := e.Flush("warm"); err != nil {
+		t.Errorf("warm session was shed instead of the coldest: %v", err)
 	}
-	if _, ok := e.Flush("new"); !ok {
-		t.Error("the admitted new session is missing")
+	if _, err := e.Flush("new"); err != nil {
+		t.Errorf("the admitted new session is missing: %v", err)
 	}
 }
 

@@ -68,12 +68,14 @@ type segBatch struct {
 }
 
 // finishWait carries one session handoff's result back to the caller.
-// The worker stores the finished tail and signals wg after the sink
-// append completes, which is what gives Flush/FlushAll/EvictIdle/Close
-// their persisted-before-return guarantee.
+// The worker stores the finished tail, and the append or commit error
+// that lost it, and signals wg after the sweep's commit, which is what
+// gives Flush/FlushAll/EvictIdle/Close their persisted-before-return
+// guarantee.
 type finishWait struct {
 	wg   *sync.WaitGroup
 	segs []traj.Segment
+	err  error
 }
 
 // sinkOp is one queue entry: exactly one of batch, sess, or barrier is
@@ -323,8 +325,12 @@ func (sw *sweep) flush() {
 			}
 		}
 		// After the commit, not the append: the caller behind each wait was
-		// promised its tail is as durable as the sync policy allows.
+		// promised its tail is as durable as the sync policy allows, or
+		// told why it is not.
 		for _, w := range ds.waits {
+			if len(ds.segs) > 0 {
+				w.err = err
+			}
 			w.wg.Done()
 		}
 	}

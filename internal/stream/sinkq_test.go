@@ -147,9 +147,9 @@ func TestFlushWaitsForDeviceQueue(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 		close(sink.gate)
 	}()
-	tail, ok := e.Flush("dev")
-	if !ok {
-		t.Fatal("flush found no session")
+	tail, err := e.Flush("dev")
+	if err != nil {
+		t.Fatalf("flush found no session: %v", err)
 	}
 	if got := sink.len("dev"); got != emitted+len(tail) {
 		t.Errorf("after Flush returned the sink holds %d segments, want %d", got, emitted+len(tail))
@@ -197,9 +197,9 @@ func TestQueueOrderAcrossSessions(t *testing.T) {
 			}
 			want = append(want, segs...)
 		}
-		tail, ok := e.Flush("dev")
-		if !ok {
-			t.Fatal("flush found no session")
+		tail, err := e.Flush("dev")
+		if err != nil {
+			t.Fatalf("flush found no session: %v", err)
 		}
 		want = append(want, tail...)
 	}

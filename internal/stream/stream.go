@@ -16,6 +16,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -44,7 +46,46 @@ var (
 	// itself or the session's previous batches, and no CleanWindow is
 	// configured to repair it. The session is left unchanged.
 	ErrTimeOrder = errors.New("stream: points not in increasing time order")
+	// ErrNoSession is returned by Flush for a device with no live
+	// session — e.g. on a duplicate flush.
+	ErrNoSession = errors.New("stream: no live session")
 )
+
+// FlushError is returned by Flush and FlushAll when the Sink lost the
+// flushed tail of one or more devices: the sweep that carried it failed
+// its append or its commit. The tails are still returned, but they are
+// not durable. Losses from earlier sweeps, of batches ingested before
+// the flush, show only in Stats.SinkErrors.
+type FlushError struct {
+	Devices []string // devices whose tails were lost, sorted
+	Err     error    // the first device's failure
+}
+
+func (e *FlushError) Error() string {
+	return fmt.Sprintf("stream: sink lost the flushed segments of %s: %v", strings.Join(e.Devices, ", "), e.Err)
+}
+
+func (e *FlushError) Unwrap() error { return e.Err }
+
+// flushError collects the failures of FlushAll's finished handoffs into
+// a FlushError, or nil when every tail reached the Sink.
+func flushError(devices []string, waits []*finishWait) error {
+	var fe *FlushError
+	for i, w := range waits {
+		if w.err == nil {
+			continue
+		}
+		if fe == nil {
+			fe = &FlushError{Err: w.err}
+		}
+		fe.Devices = append(fe.Devices, devices[i])
+	}
+	if fe == nil {
+		return nil
+	}
+	sort.Strings(fe.Devices)
+	return fe
+}
 
 // DefaultShards is the shard count used when Config.Shards is zero.
 const DefaultShards = 16
@@ -553,16 +594,17 @@ func (s *session) finish() []traj.Segment {
 }
 
 // Flush finalizes and removes device's session, returning its trailing
-// segments. The second result is false if no session exists — e.g. on a
+// segments. It returns ErrNoSession if no session exists — e.g. on a
 // duplicate flush. Flush returns only after the tail (and every batch
-// the session emitted before it) has been handed to the Sink.
-func (e *Engine) Flush(device string) ([]traj.Segment, bool) {
+// the session emitted before it) has been handed to the Sink and
+// committed; a *FlushError reports that the Sink lost the tail.
+func (e *Engine) Flush(device string) ([]traj.Segment, error) {
 	sh := e.shard(device)
 	sh.mu.Lock()
 	s := sh.sessions[device]
 	if s == nil {
 		sh.mu.Unlock()
-		return nil, false
+		return nil, ErrNoSession
 	}
 	delete(sh.sessions, device)
 	var wg sync.WaitGroup
@@ -574,7 +616,10 @@ func (e *Engine) Flush(device string) ([]traj.Segment, bool) {
 	wg.Wait()
 	e.flushed.Add(1)
 	e.segments.Add(int64(len(res.segs)))
-	return res.segs, true
+	if res.err != nil {
+		return res.segs, &FlushError{Devices: []string{device}, Err: res.err}
+	}
+	return res.segs, nil
 }
 
 // FlushAll finalizes every live session and returns their trailing
@@ -582,8 +627,9 @@ func (e *Engine) Flush(device string) ([]traj.Segment, bool) {
 // queue handoff; the encoder flushes and sink appends run on the sink
 // writers, in parallel across devices. FlushAll returns only after every
 // segment emitted before the call — tails and queued ingest batches
-// alike — has been handed to the Sink.
-func (e *Engine) FlushAll() map[string][]traj.Segment {
+// alike — has been handed to the Sink; a *FlushError names the devices
+// whose tails the Sink lost.
+func (e *Engine) FlushAll() (map[string][]traj.Segment, error) {
 	var (
 		wg    sync.WaitGroup
 		devs  []string
@@ -610,7 +656,7 @@ func (e *Engine) FlushAll() map[string][]traj.Segment {
 	if e.q != nil {
 		e.q.drain()
 	}
-	return out
+	return out, flushError(devs, waits)
 }
 
 // EvictIdle finalizes every session idle for at least Config.IdleAfter on
@@ -707,15 +753,15 @@ func (e *Engine) Stats() Stats {
 // Close stops the janitor, rejects further ingest, finalizes every live
 // session, and drains and stops the sink pipeline, returning the
 // sessions' trailing segments by device. When Close returns, everything
-// the engine ever emitted has been handed to the Sink. Subsequent calls
-// return nil.
+// the engine ever emitted has been handed to the Sink; what the Sink
+// lost shows in Stats.SinkErrors. Subsequent calls return nil.
 func (e *Engine) Close() map[string][]traj.Segment {
 	if !e.closed.CompareAndSwap(false, true) {
 		return nil
 	}
 	close(e.stop)
 	e.janitor.Wait()
-	out := e.FlushAll()
+	out, _ := e.FlushAll()
 	if e.q != nil {
 		e.q.close()
 	}

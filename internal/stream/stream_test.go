@@ -52,9 +52,9 @@ func TestSingleSessionMatchesBatch(t *testing.T) {
 			}
 			got = append(got, segs...)
 		}
-		tail, ok := e.Flush("taxi-1")
-		if !ok {
-			t.Fatal("session vanished before flush")
+		tail, err := e.Flush("taxi-1")
+		if err != nil {
+			t.Fatalf("session vanished before flush: %v", err)
 		}
 		got = append(got, tail...)
 		enc, err := newSessionEncoder(30, aggressive, e.opts)
@@ -114,9 +114,9 @@ func TestConcurrentIngest(t *testing.T) {
 						}
 						segs = append(segs, out...)
 					}
-					tail, ok := e.Flush(dev)
-					if !ok {
-						errs <- fmt.Errorf("%s: flush found no session", dev)
+					tail, err := e.Flush(dev)
+					if err != nil {
+						errs <- fmt.Errorf("%s: flush: %w", dev, err)
 						return
 					}
 					segs = append(segs, tail...)
@@ -167,12 +167,12 @@ func TestSharedDeviceIngest(t *testing.T) {
 	if n := e.Sessions(); n != 1 {
 		t.Errorf("Sessions = %d, want 1", n)
 	}
-	if _, ok := e.Flush("shared"); !ok {
-		t.Error("flush found no session")
+	if _, err := e.Flush("shared"); err != nil {
+		t.Errorf("flush found no session: %v", err)
 	}
-	// Duplicate flush: the session is gone, so ok must be false.
-	if segs, ok := e.Flush("shared"); ok || segs != nil {
-		t.Errorf("duplicate flush returned (%v, %v), want (nil, false)", segs, ok)
+	// Duplicate flush: the session is gone.
+	if segs, err := e.Flush("shared"); !errors.Is(err, ErrNoSession) || segs != nil {
+		t.Errorf("duplicate flush returned (%v, %v), want (nil, ErrNoSession)", segs, err)
 	}
 }
 
@@ -213,11 +213,11 @@ func TestEviction(t *testing.T) {
 	if got := evicted.Load(); got != 1 {
 		t.Errorf("OnEvict called %d times, want 1", got)
 	}
-	if _, ok := e.Flush("old"); ok {
-		t.Error("evicted session still flushable")
+	if _, err := e.Flush("old"); !errors.Is(err, ErrNoSession) {
+		t.Errorf("evicted session still flushable: %v", err)
 	}
-	if _, ok := e.Flush("fresh"); !ok {
-		t.Error("fresh session was evicted")
+	if _, err := e.Flush("fresh"); err != nil {
+		t.Errorf("fresh session was evicted: %v", err)
 	}
 	st := e.Stats()
 	if st.Evicted != 1 || st.Sessions != 0 {
@@ -268,8 +268,8 @@ func TestSessionLimit(t *testing.T) {
 		t.Error("existing session rejected at the session limit")
 	}
 	// Flushing frees a slot.
-	if _, ok := e.Flush("b"); !ok {
-		t.Fatal("flush b")
+	if _, err := e.Flush("b"); err != nil {
+		t.Fatalf("flush b: %v", err)
 	}
 	if _, err := e.Ingest("c", tr); err != nil {
 		t.Errorf("after flush: %v", err)
@@ -532,9 +532,9 @@ func TestSinkReceivesEverySegment(t *testing.T) {
 	ingest("evicted", gen.One(gen.Truck, 600, 62))
 	ingest("closed", gen.One(gen.SerCar, 600, 63))
 
-	segs, ok := e.Flush("flushed")
-	if !ok {
-		t.Fatal("flush failed")
+	segs, err := e.Flush("flushed")
+	if err != nil {
+		t.Fatalf("flush failed: %v", err)
 	}
 	want["flushed"] = append(want["flushed"], segs...)
 
@@ -574,7 +574,8 @@ func TestSinkReceivesEverySegment(t *testing.T) {
 }
 
 // TestSinkErrorDegradesGracefully: a failing sink must not fail ingest —
-// segments still flow to the caller — but every failure is counted:
+// segments still flow to the caller, and Flush returns the tail with the
+// sink's failure — but every failure is counted:
 // SinkErrors per merged payload (the ingest batch and the flush tail may
 // legitimately fold into one sweep), SinkErrorSegs per segment lost.
 func TestSinkErrorDegradesGracefully(t *testing.T) {
@@ -588,9 +589,9 @@ func TestSinkErrorDegradesGracefully(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ingest with failing sink: %v", err)
 	}
-	tail, ok := e.Flush("dev")
-	if !ok {
-		t.Fatal("flush failed")
+	tail, err := e.Flush("dev")
+	if !errors.Is(err, sink.fail) {
+		t.Fatalf("flush returned %v, want the sink's failure", err)
 	}
 	if len(segs)+len(tail) == 0 {
 		t.Fatal("no segments emitted")
@@ -669,8 +670,8 @@ func TestStatsSurfacesStoreCounters(t *testing.T) {
 	if _, err := e.Ingest("dev", gen.One(gen.Taxi, 400, 61)); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := e.Flush("dev"); !ok {
-		t.Fatal("flush found no session")
+	if _, err := e.Flush("dev"); err != nil {
+		t.Fatalf("flush found no session: %v", err)
 	}
 	st := e.Stats()
 	if st.Store == nil {

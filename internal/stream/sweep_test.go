@@ -151,7 +151,8 @@ func TestRecyclePoolCap(t *testing.T) {
 // device share the sweep wrote counts as lost — the engine cannot tell
 // which file's fsync failed — even though each AppendNoSync succeeded.
 // Nothing is announced to OnSink, nothing counts as appended, and Flush
-// still hands its tail back to the caller.
+// and FlushAll still hand the tails back to the caller, with a
+// *FlushError naming the devices whose tails were lost.
 func TestSweepCommitFailure(t *testing.T) {
 	sink := &gateSink{memSink: memSink{failCommit: errors.New("fsync: input/output error")}, gate: make(chan struct{})}
 	rec := &hookRecorder{}
@@ -169,14 +170,19 @@ func TestSweepCommitFailure(t *testing.T) {
 		emitted += ingestEmitting(t, e, dev, gen.One(presets[i], 800, uint64(75+i)), 40)
 	}
 	close(sink.gate)
-	tail, ok := e.Flush(devs[0])
-	if !ok {
-		t.Fatal("flush found no session")
+	tail, err := e.Flush(devs[0])
+	var fe *FlushError
+	if !errors.As(err, &fe) || !reflect.DeepEqual(fe.Devices, devs[:1]) || !errors.Is(err, sink.failCommit) {
+		t.Fatalf("flush returned %v; want a FlushError naming %s and wrapping the commit failure", err, devs[0])
 	}
 	if len(tail) == 0 {
 		t.Fatal("flush returned no tail; pick a smaller zeta")
 	}
-	tails := e.Close()
+	tails, err := e.FlushAll()
+	if !errors.As(err, &fe) || !reflect.DeepEqual(fe.Devices, []string{"car", "truck"}) || !errors.Is(err, sink.failCommit) {
+		t.Fatalf("FlushAll returned %v; want a FlushError naming car and truck", err)
+	}
+	e.Close()
 	lost := emitted + len(tail)
 	for _, dev := range devs[1:] {
 		lost += len(tails[dev])
@@ -282,13 +288,13 @@ func TestSweepRestartIdentity(t *testing.T) {
 	close(gated.gate)
 	// A mid-stream session boundary on one device: the successor's
 	// batches must land after the flushed tail inside the merged stream.
-	tail, ok := engRef.Flush(devs[0])
-	if !ok {
-		t.Fatal("reference flush found no session")
+	tail, err := engRef.Flush(devs[0])
+	if err != nil {
+		t.Fatalf("reference flush found no session: %v", err)
 	}
 	appendRef(devs[0], tail)
-	if _, ok := engSweep.Flush(devs[0]); !ok {
-		t.Fatal("sweep flush found no session")
+	if _, err := engSweep.Flush(devs[0]); err != nil {
+		t.Fatalf("sweep flush found no session: %v", err)
 	}
 	for i, dev := range devs {
 		rest := trs[i][len(trs[i])/2:]

@@ -35,6 +35,10 @@ type (
 	// errors.Is. Configure via EngineConfig.DeviceRate/DeviceBurst/
 	// QueueWatermark/ShedSessions.
 	OverloadError = stream.OverloadError
+	// FlushError reports the devices whose flushed tails the sink lost:
+	// Engine.Flush and FlushAll return it when the sweep that carried a
+	// tail failed its append or its commit.
+	FlushError = stream.FlushError
 )
 
 // Sink-queue defaults, re-exported.
@@ -58,6 +62,7 @@ var (
 	ErrDeviceTooLong = stream.ErrDeviceTooLong
 	ErrSessionLimit  = stream.ErrSessionLimit
 	ErrTimeOrder     = stream.ErrTimeOrder
+	ErrNoSession     = stream.ErrNoSession
 	// ErrOverloaded matches every admission-control rejection; the
 	// concrete error is always an *OverloadError with the retry delay.
 	ErrOverloaded = stream.ErrOverloaded

@@ -162,9 +162,9 @@ func TestFacadeEngine(t *testing.T) {
 		}
 		pw = append(pw, segs...)
 	}
-	tail, ok := eng.Flush("truck-1")
-	if !ok {
-		t.Fatal("no session to flush")
+	tail, err := eng.Flush("truck-1")
+	if err != nil {
+		t.Fatalf("no session to flush: %v", err)
 	}
 	pw = append(pw, tail...)
 	if err := VerifyErrorBound(tr, pw, 40); err != nil {
