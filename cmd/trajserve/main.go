@@ -81,7 +81,7 @@
 // -pprof serves net/http/pprof on a separate listener for live
 // profiling. The store is resource-bounded:
 // -max-open-files caps how many device logs hold an open file descriptor
-// (an LRU transparently reopens cold logs), and -retention-bytes /
+// (cold logs are transparently closed and reopened), and -retention-bytes /
 // -retention-age bound each device's log on disk by deleting whole
 // rotated files oldest-first. Reads (/segments, /at, /tail resume)
 // run concurrently with ingest — queries snapshot the log and decode

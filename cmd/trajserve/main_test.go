@@ -925,7 +925,7 @@ func TestStatsReportsStoreCounters(t *testing.T) {
 	for i, dev := range devs {
 		tr := gen.One(presets[i], 2000, uint64(70+i))
 		// Several batches per device so appends interleave across devices
-		// and the handle LRU actually churns.
+		// and the residency walk actually churns handles.
 		for off := 0; off < len(tr); off += 500 {
 			body := deviceCSV(map[string][]traj.Point{dev: tr[off : off+500]})
 			resp, err := http.Post(srv.URL+"/ingest", "text/csv", strings.NewReader(body))

@@ -130,7 +130,7 @@ func main() {
 	fmt.Printf("\ndurable segment store (%s):\n", dataDir)
 	fmt.Printf("  %d segments in %d appends, %d bytes on disk (%.1f bytes/segment)\n",
 		sst.Segments, sst.Appends, sst.Bytes, float64(sst.Bytes)/float64(sst.Segments))
-	fmt.Printf("  handle LRU capped at 8 of %d devices: %d hits, %d misses, %d evictions\n",
+	fmt.Printf("  open handles capped at 8 of %d devices: %d hits, %d misses, %d evictions\n",
 		vehicles, sst.HandleHits, sst.HandleMisses, sst.HandleEvictions)
 
 	reopened, err := trajsim.OpenSegmentStore(trajsim.SegmentStoreConfig{Dir: dataDir})

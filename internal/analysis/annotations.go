@@ -13,7 +13,8 @@ import (
 //
 //	//trajlint:guardedby <guard>     on a struct field. guard is a
 //	    sibling field name ("mu"), or "Type.field" for a lock that
-//	    lives on another struct (e.g. the handle-LRU list lock).
+//	    lives on another struct (e.g. Store.mu, which guards each
+//	    deviceLog's recency-list positions).
 //	//trajlint:serializes-io         on a mutex field. Declares that
 //	    file I/O under this lock is the design (the per-device log
 //	    lock IS the write-path serialization point), exempting it

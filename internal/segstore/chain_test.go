@@ -45,7 +45,7 @@ func TestChainedIndexRebuild(t *testing.T) {
 	for _, gran := range []int64{defaultIndexGranularity, 200} {
 		dir := t.TempDir()
 		s := chainedLog(t, dir, gran)
-		l, err := s.lockLog("dev")
+		l, err := s.lockLog("dev", false)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -260,16 +260,10 @@ func (s *Store) writeFileSynced(path string, b []byte, sync bool) error {
 // it visits. Cold devices from earlier runs are compacted when first
 // opened, or all at once by CompactNow; logs CompactNow registered but
 // never opened are skipped here, or every tick would re-list their
-// directories forever. Instances the metadata LRU evicted after the
+// directories forever. Instances the residency walk dropped after the
 // snapshot are skipped too: their successor owns the files now.
 func (s *Store) compactKnown() {
-	s.mu.Lock()
-	logs := make([]*deviceLog, 0, len(s.logs))
-	for _, l := range s.logs {
-		logs = append(logs, l)
-	}
-	s.mu.Unlock()
-	for _, l := range logs {
+	for _, l := range s.residentLogs() {
 		l.mu.Lock()
 		if l.opened && !l.evicted {
 			_ = s.compactLocked(l)
@@ -307,7 +301,7 @@ func (s *Store) CompactNow() error {
 		if err != nil {
 			continue // not ours
 		}
-		l, err := s.lockLog(dev)
+		l, err := s.lockLog(dev, false)
 		if err != nil {
 			// Close raced in, or a foreign directory escaped to an
 			// unusable device ID.

@@ -245,6 +245,51 @@ func TestQuarantineRecovery(t *testing.T) {
 	}
 }
 
+// TestEvictionFsyncFailureReachesNextAppend: the residency walk detaches
+// a dirty handle, and its fsync runs after the walk, outside every lock.
+// Until that fsync settles, the log must stay resident even over the
+// resident budget. Were it dropped, the failure would quarantine an
+// instance nobody holds, and the device's next append, on a fresh
+// instance, would succeed as if the lost bytes were durable.
+func TestEvictionFsyncFailureReachesNextAppend(t *testing.T) {
+	ffs := newFaultFS()
+	ffs.err = syscall.EIO
+	s, err := openFS(Config{Dir: t.TempDir(), MaxOpenFiles: 1, Sync: SyncInterval, SyncEvery: time.Hour}, ffs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	s.maxResident = 1
+	s.quarBase = time.Hour // the quarantine must still be up at the check
+	segs := syntheticSegs(3)
+	if err := s.Append("victim", segs[:1]); err != nil {
+		t.Fatal(err)
+	}
+	// other's new handle pushes victim's dirty one out, and the eviction
+	// fsync stalls.
+	hold := ffs.holdNext("sync")
+	done := make(chan error, 1)
+	go func() { done <- s.Append("other", segs[1:2]) }()
+	select {
+	case <-hold.started:
+	case err := <-done:
+		close(hold.release) // so the deferred Close's fsyncs cannot stall
+		t.Fatalf("append to other returned (%v) without syncing victim's evicted handle", err)
+	}
+	// A new log runs the walk while that fsync is in flight.
+	_, err = s.Replay("third")
+	close(hold.release)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("append to other: %v", err)
+	}
+	if err := s.Append("victim", segs[2:3]); !errors.Is(err, syscall.EIO) {
+		t.Fatalf("append after its evicted handle's fsync failed: %v, want the injected EIO", err)
+	}
+}
+
 // TestENOSPCRetryable: a write that fails cleanly at a record boundary
 // (zero bytes accepted, the ENOSPC shape) fails the append but does NOT
 // quarantine — nothing torn, nothing unsynced — and appends resume as

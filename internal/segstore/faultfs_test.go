@@ -7,40 +7,69 @@ import (
 )
 
 // faultFS is the test half of the filesystem seam (fs.go): it delegates
-// to osFS, counts every operation in order, and injects failures two
+// to osFS, counts every operation in order, and injects failures three
 // ways — a single-shot fault armed at one operation index (the fault
-// matrix sweeps that index across a whole workload), and a "wedge" that
+// matrix sweeps that index across a whole workload), a "wedge" that
 // fails every operation of one kind until cleared (a disk that stays
-// broken: full, unplugged, remounting). Short-write mode delivers half
-// the bytes before failing, the shape torn-tail recovery exists for.
+// broken: full, unplugged, remounting), and a hold that stalls the next
+// operation of one kind until the test releases it, then fails it (a
+// slow fsync that a concurrent operation races). Short-write mode
+// delivers half the bytes before failing, the shape torn-tail recovery
+// exists for.
 type faultFS struct {
 	mu    sync.Mutex
-	n     int      // operations so far
-	trace []string // operation kinds, in order
-	armAt int      // operation index to fail once; <0 disarmed
-	err   error    // injected error for both arm and wedge faults
-	short bool     // armed Write faults deliver half the bytes first
-	fired bool     // the armed fault went off
-	wedge string   // while non-empty, every op of this kind fails
+	n     int        // operations so far
+	trace []string   // operation kinds, in order
+	armAt int        // operation index to fail once; <0 disarmed
+	err   error      // injected error for arm, wedge and hold faults
+	short bool       // armed Write faults deliver half the bytes first
+	fired bool       // the armed fault went off
+	wedge string     // while non-empty, every op of this kind fails
+	hold  *faultHold // the next op of hold.kind stalls, then fails
+}
+
+// faultHold is one armed hold: the operation it catches closes started,
+// blocks until release is closed, then fails with the injected error.
+type faultHold struct {
+	kind             string
+	started, release chan struct{}
 }
 
 func newFaultFS() *faultFS { return &faultFS{armAt: -1} }
 
+// holdNext arms a hold on the next operation of kind.
+func (ff *faultFS) holdNext(kind string) *faultHold {
+	h := &faultHold{kind: kind, started: make(chan struct{}), release: make(chan struct{})}
+	ff.mu.Lock()
+	ff.hold = h
+	ff.mu.Unlock()
+	return h
+}
+
 // step counts one operation and reports whether to inject its failure.
+// A held operation blocks here, outside ff.mu, until released.
 func (ff *faultFS) step(kind string) bool {
 	ff.mu.Lock()
-	defer ff.mu.Unlock()
 	i := ff.n
 	ff.n++
 	ff.trace = append(ff.trace, kind)
-	if ff.wedge == kind {
+	h := ff.hold
+	if h != nil && h.kind == kind {
+		ff.hold = nil
+	} else {
+		h = nil
+	}
+	fail := ff.wedge == kind
+	if !fail && i == ff.armAt {
+		ff.fired, fail = true, true
+	}
+	ff.mu.Unlock()
+	if h != nil {
+		close(h.started)
+		<-h.release
 		return true
 	}
-	if i == ff.armAt {
-		ff.fired = true
-		return true
-	}
-	return false
+	return fail
 }
 
 func (ff *faultFS) ops() int {

@@ -1,111 +1,120 @@
 package segstore
 
 import (
-	"container/list"
 	"fmt"
 	"os"
-	"sync"
 )
 
-// The handle LRU bounds how many device logs hold an open append handle
-// at once, so a store over millions of devices costs Config.MaxOpenFiles
-// file descriptors, not one per device ever touched. Device-log metadata
-// (file list, append offset) stays resident; only the *os.File comes and
-// goes. A cold append transparently reopens the newest log file and
-// seeks to the tracked offset — no recovery rescan, since the offset was
-// validated when the log was first opened.
+// Residency bounds what the store keeps per device it has touched: at
+// most Config.MaxOpenFiles logs hold an open append handle, and at most
+// maxResident (residentLogs; shrunk in tests) keep their metadata — file
+// list, append offset, time index — in memory. A cold append reopens
+// the newest file at the tracked offset, with no recovery rescan; a
+// dropped log re-runs recovery on its next touch.
 //
-// Locking: the list and every deviceLog.elem are guarded by handleLRU.mu,
-// which nests strictly inside any deviceLog.mu (appenders hold their own
-// log's mu when they touch the LRU). Eviction runs in the opposite
-// direction — it needs the victim's mu to close its file — so it uses
-// TryLock: a victim that is mid-operation is by definition warm, and
-// skipping it cannot deadlock. Pinned logs are skipped too, so the cap
-// can be exceeded while logs are busy or pinned; it holds at
-// quiescence, because every registration and every commit that releases
-// a log's last pin trims the list back.
-type handleLRU struct {
-	cap int
-	mu  sync.Mutex
-	ll  list.List //trajlint:guardedby mu -- *deviceLog values, most recently used at the front
+// Store.mu guards two recency lists: resident (every resident log,
+// refreshed by every lookup) and handles (the logs holding a file,
+// refreshed only by appends, since readers open their own descriptors),
+// kept apart so a handle miss never steps over handle-less logs. One
+// walk, trimLocked, enforces both budgets whenever a log is created, a
+// handle is registered, or a commit releases a log's last pin.
+//
+// Store.mu nests inside deviceLog.mu: an append registers its handle
+// under its log's mu. The walk takes victims' mu in the opposite order,
+// so it only TryLocks: a busy victim is warm, and skipping it cannot
+// deadlock. Skipped or pinned logs can leave a budget exceeded; it
+// holds at quiescence, since the next walk trims what the last one
+// skipped. Detached files are synced and closed (settle) after Store.mu
+// is released.
+
+// residentLogs is the resident-log budget: a log's metadata is a few
+// hundred bytes, so this is roomy, but not one per device ever seen.
+const residentLogs = 1 << 16
+
+// detached is a file the walk took from a log, for settle to close.
+type detached struct {
+	log   *deviceLog
+	f     file
+	dirty bool
 }
 
-// open reports the current number of open handles.
-func (h *handleLRU) open() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.ll.Len()
+// idle is the one rule for leaving residency: no handle, nothing
+// unsynced, no sticky failure (a fresh instance would forget a failed
+// fsync), no commit or read pins (they live on this instance, and
+// retention could delete a file under a reader a successor cannot
+// see), and no detached file still being synced or closed (its failure
+// must quarantine this instance). Caller holds l.mu.
+//
+//trajlint:holds l.mu
+func (l *deviceLog) idle() bool {
+	return l.f == nil && !l.dirty && l.failed == nil && l.pins == 0 && len(l.readPins) == 0 && l.closing == 0
 }
 
-// touchHandle marks l, which already holds an open file, most recently
-// used. Caller holds l.mu.
-func (s *Store) touchHandle(l *deviceLog) {
-	s.handles.mu.Lock()
-	if l.elem != nil {
-		s.handles.ll.MoveToFront(l.elem)
-	}
-	s.handles.mu.Unlock()
-	s.handleHits.Add(1)
-}
-
-// registerHandle records that l now holds an open file, evicting the
-// coldest other logs while the cap is exceeded. Caller holds l.mu with
-// l.f != nil. Re-registration after rotation (l.elem already set) only
-// refreshes recency.
-func (s *Store) registerHandle(l *deviceLog) {
-	h := &s.handles
-	h.mu.Lock()
-	if l.elem != nil {
-		h.ll.MoveToFront(l.elem)
-		h.mu.Unlock()
-		return
-	}
-	s.handleMisses.Add(1)
-	l.elem = h.ll.PushFront(l)
-	h.mu.Unlock()
-	s.trimHandles(l)
-}
-
-// trimHandles evicts the coldest logs other than keep (whose mu the
-// caller holds, or nil) while the cap is exceeded.
-func (s *Store) trimHandles(keep *deviceLog) {
-	h := &s.handles
-	// Detach victims under their (try-)locked mu, but do the closes — real
-	// I/O, possibly an fsync — after dropping every lock taken here.
-	type cold struct {
-		log   *deviceLog
-		f     file
-		dirty bool
-	}
-	var evict []cold
-	h.mu.Lock()
-	for e := h.ll.Back(); e != nil && h.ll.Len() > h.cap; {
+// trimLocked is the residency walk: it detaches the coldest unpinned
+// handles while more than MaxOpenFiles logs hold one (a pinned log's
+// pending commit must fsync the file its writes went to), then drops
+// the coldest idle logs while more than maxResident are resident,
+// flagging them so a holder that raced past the lookup re-resolves
+// (lockLog). It skips keep, whose mu the caller holds, and any log it
+// cannot TryLock, and returns cold with the detached files appended for
+// the caller to settle after releasing s.mu. Caller holds s.mu.
+//
+//trajlint:holds s.mu
+func (s *Store) trimLocked(keep *deviceLog, cold []detached) []detached {
+	for e := s.handles.Back(); e != nil && s.handles.Len() > s.cfg.MaxOpenFiles; {
 		prev := e.Prev()
-		v := e.Value.(*deviceLog)
-		if v != keep && v.mu.TryLock() {
-			// A pinned log is mid-group-commit: the pending commit's fsync
-			// must land on this handle, so it is exempt until the commit
-			// releases the pin (always within one sweep).
-			if v.pins > 0 {
-				v.mu.Unlock()
-				e = prev
-				continue
-			}
-			if v.f != nil {
-				evict = append(evict, cold{v, v.f, v.dirty})
+		if v := e.Value.(*deviceLog); v != keep && v.mu.TryLock() {
+			if v.pins == 0 {
+				cold = append(cold, detached{v, v.f, v.dirty})
 				v.f, v.dirty = nil, false
+				v.closing++
+				s.handles.Remove(e)
+				v.handleElem = nil
 			}
-			h.ll.Remove(e)
-			v.elem = nil
 			v.mu.Unlock()
 		}
 		e = prev
 	}
-	h.mu.Unlock()
-	for _, c := range evict {
-		// An evicted dirty log keeps the SyncInterval durability promise by
-		// syncing on the way out — the background flusher only sees open
-		// handles, so this is its last chance.
+	for e := s.resident.Back(); e != nil && s.resident.Len() > s.maxResident; {
+		prev := e.Prev()
+		if v := e.Value.(*deviceLog); v != keep && v.mu.TryLock() {
+			if v.idle() {
+				v.evicted = true
+				delete(s.logs, v.device)
+				s.resident.Remove(e)
+				v.residentElem = nil
+				s.metaEvictions.Add(1)
+			}
+			v.mu.Unlock()
+		}
+		e = prev
+	}
+	return cold
+}
+
+// trim runs the walk with no log lock held, and settles what it took.
+func (s *Store) trim() {
+	var buf [2]detached
+	s.mu.Lock()
+	cold := s.trimLocked(nil, buf[:0])
+	s.mu.Unlock()
+	s.settle(cold)
+}
+
+// settle closes the files a walk detached, first syncing dirty ones
+// (unless SyncNever): the background flusher sees only open handles, so
+// this is the SyncInterval promise's last chance. A failed sync or
+// close has no caller to report to and must not be retried (the kernel
+// may have dropped the dirty pages), so it quarantines the log, which
+// closing kept resident: the next append surfaces the loss.
+//
+// The caller may hold the mu of the log whose registration ran the
+// walk, and blocking on a victim's mu is still safe. Its holder locked
+// it after this walk, and blocks only on s.mu, which nobody holds while
+// blocking, or on a victim of its own later walk: never the caller's
+// log, locked since before this walk began.
+func (s *Store) settle(cold []detached) {
+	for _, c := range cold {
 		var err error
 		if c.dirty && s.cfg.Sync != SyncNever {
 			if err = c.f.Sync(); err == nil {
@@ -116,26 +125,35 @@ func (s *Store) trimHandles(keep *deviceLog) {
 			err = cerr
 		}
 		s.handleEvictions.Add(1)
-		if err != nil {
-			// The eviction has no caller to hand this to, and a failed fsync
-			// must not be retried as if nothing happened (the kernel may have
-			// dropped the dirty pages): quarantine the log so the next Append
-			// surfaces the durability loss instead of silently extending an
-			// unflushed file. Blocking on c.log.mu here is safe: lock holders
-			// only ever block on handleLRU.mu (never held across this call)
-			// or on a log they themselves detached, which the holder of
-			// c.log.mu cannot have done while we held it at detach time.
-			c.log.mu.Lock()
-			if c.log.failed == nil {
-				_ = s.poisonLocked(c.log, fmt.Errorf("segstore: flush of evicted log: %w", err))
-			}
-			c.log.mu.Unlock()
+		c.log.mu.Lock()
+		c.log.closing--
+		if err != nil && c.log.failed == nil {
+			_ = s.poisonLocked(c.log, fmt.Errorf("segstore: flush of evicted log: %w", err))
 		}
+		c.log.mu.Unlock()
 	}
 }
 
+// registerHandle records that l now holds an open file and runs the
+// walk in the same hold of s.mu. Caller holds l.mu with l.f != nil.
+// Re-registration after rotation only refreshes recency: not a miss.
+func (s *Store) registerHandle(l *deviceLog) {
+	var buf [2]detached
+	s.mu.Lock()
+	if l.handleElem != nil {
+		s.handles.MoveToFront(l.handleElem)
+		s.mu.Unlock()
+		return
+	}
+	s.handleMisses.Add(1)
+	l.handleElem = s.handles.PushFront(l)
+	cold := s.trimLocked(l, buf[:0])
+	s.mu.Unlock()
+	s.settle(cold)
+}
+
 // dropHandle closes l's open file (without syncing — callers decide) and
-// removes it from the LRU. Caller holds l.mu.
+// takes l off the handle list. Caller holds l.mu.
 //
 //trajlint:holds l.mu
 func (s *Store) dropHandle(l *deviceLog) error {
@@ -144,24 +162,25 @@ func (s *Store) dropHandle(l *deviceLog) error {
 		err = l.f.Close()
 		l.f = nil
 	}
-	s.handles.mu.Lock()
-	if l.elem != nil {
-		s.handles.ll.Remove(l.elem)
-		l.elem = nil
+	s.mu.Lock()
+	if l.handleElem != nil {
+		s.handles.Remove(l.handleElem)
+		l.handleElem = nil
 	}
-	s.handles.mu.Unlock()
+	s.mu.Unlock()
 	return err
 }
 
 // handle ensures l.f is open for appending, reopening the newest file at
-// the tracked offset if the LRU evicted it earlier. Caller holds l.mu
-// with l.opened; a log with no files yet stays handle-less (the first
-// write creates file 1 and registers it).
+// the tracked offset if the walk took it (the append's lookup already
+// refreshed its recency). Caller holds l.mu with l.opened; a log with
+// no files yet stays handle-less (the first write creates file 1 and
+// registers it).
 //
 //trajlint:holds l.mu
 func (l *deviceLog) handle(s *Store) error {
 	if l.f != nil {
-		s.touchHandle(l)
+		s.handleHits.Add(1)
 		return nil
 	}
 	if len(l.seqs) == 0 {

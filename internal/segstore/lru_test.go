@@ -23,12 +23,26 @@ func appendInChunks(t testing.TB, s *Store, dev string, segs []traj.Segment, chu
 	}
 }
 
-// TestHandleLRUChurn is the acceptance test for the file-handle LRU: a
+// TestHandleLRUChurn is the acceptance test for the residency walk: a
 // store capped at MaxOpenFiles=4 serving 64 devices — with concurrent
 // appends and replays forcing constant evict/reopen churn — must end up
 // byte-identical on disk to an effectively unbounded store fed the same
-// appends, and replay identically.
+// appends, and replay identically. The second arm also holds only 6
+// logs resident, so handle detaches and metadata drops race the same
+// appends and replays inside one walk.
 func TestHandleLRUChurn(t *testing.T) {
+	for _, c := range []struct {
+		name     string
+		resident int
+	}{
+		{"handles", residentLogs},
+		{"handles+resident", 6},
+	} {
+		t.Run(c.name, func(t *testing.T) { testResidencyChurn(t, c.resident) })
+	}
+}
+
+func testResidencyChurn(t *testing.T, resident int) {
 	const (
 		devices = 64
 		cap     = 4
@@ -42,6 +56,7 @@ func TestHandleLRUChurn(t *testing.T) {
 	unbounded := openStore(t, cfg)
 	cfg.Dir, cfg.MaxOpenFiles = dirBounded, cap
 	bounded := openStore(t, cfg)
+	bounded.maxResident = resident
 
 	dev := func(d int) string { return fmt.Sprintf("dev-%02d", d) }
 	for d := 0; d < devices; d++ {
@@ -74,8 +89,9 @@ func TestHandleLRUChurn(t *testing.T) {
 		t.FailNow()
 	}
 
-	// One serial append converges any transient over-cap state (victims
-	// that were busy when an eviction pass ran), after which the cap holds.
+	// One serial append converges any transient over-budget state
+	// (victims that were busy when a walk ran), after which both budgets
+	// hold.
 	if err := bounded.Append(dev(0), segs[:1]); err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +102,10 @@ func TestHandleLRUChurn(t *testing.T) {
 	if st.OpenHandles > cap {
 		t.Errorf("%d open handles at rest, cap %d", st.OpenHandles, cap)
 	}
-	if st.HandleEvictions == 0 || st.HandleMisses < devices {
+	if st.ResidentLogs > int64(resident) {
+		t.Errorf("%d resident logs at rest, budget %d", st.ResidentLogs, resident)
+	}
+	if st.HandleEvictions == 0 || st.HandleMisses < devices || resident < devices && st.MetaEvictions == 0 {
 		t.Errorf("no churn observed: %+v", st)
 	}
 	if ust := unbounded.Stats(); ust.HandleEvictions != 0 {

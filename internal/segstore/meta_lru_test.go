@@ -10,10 +10,19 @@ import (
 	"time"
 )
 
-// Tests for the metadata LRU (Config.MaxResidentLogs): the logs map must
-// stop growing with every device ever seen, eviction must be invisible
-// to correctness (re-recovery on next touch), and poisoned logs must
-// never be evicted into amnesia.
+// Tests for the resident-log budget (Store.maxResident, shrunk here from
+// residentLogs): the logs map must stop growing with every device ever
+// seen, eviction must be invisible to correctness (re-recovery on next
+// touch), and poisoned logs must never be evicted into amnesia.
+
+// openResident is openStore with the resident-log budget shrunk to
+// budget.
+func openResident(t *testing.T, cfg Config, budget int) *Store {
+	t.Helper()
+	s := openStore(t, cfg)
+	s.maxResident = budget
+	return s
+}
 
 // TestMetaLRUEviction: far more devices than the cap, serial appends —
 // the resident count holds at the cap, evictions are counted, and every
@@ -23,7 +32,7 @@ func TestMetaLRUEviction(t *testing.T) {
 		devices = 32
 		cap     = 4
 	)
-	s := openStore(t, Config{MaxResidentLogs: cap, MaxOpenFiles: 2, Sync: SyncAlways})
+	s := openResident(t, Config{MaxOpenFiles: 2, Sync: SyncAlways}, cap)
 	segs := syntheticSegs(40)
 	dev := func(d int) string { return fmt.Sprintf("m-%02d", d) }
 	for round := 0; round < 4; round++ {
@@ -63,7 +72,7 @@ func TestMetaLRUEviction(t *testing.T) {
 // TestMetaLRUAppendAfterEviction: an evicted log's next append lands
 // exactly where the old instance left off — recovery, not restart.
 func TestMetaLRUAppendAfterEviction(t *testing.T) {
-	s := openStore(t, Config{MaxResidentLogs: 2, MaxOpenFiles: 1, Sync: SyncAlways})
+	s := openResident(t, Config{MaxOpenFiles: 1, Sync: SyncAlways}, 2)
 	segs := syntheticSegs(30)
 	if err := s.Append("victim", segs[:10]); err != nil {
 		t.Fatal(err)
@@ -96,7 +105,7 @@ func TestMetaLRUAppendAfterEviction(t *testing.T) {
 // stay resident — evicting it would forget the failure and let a fresh
 // instance accept appends into a log whose tail never made it to disk.
 func TestMetaLRUKeepsPoisonedLogs(t *testing.T) {
-	s := openStore(t, Config{MaxResidentLogs: 2, MaxOpenFiles: 1, Sync: SyncAlways})
+	s := openResident(t, Config{MaxOpenFiles: 1, Sync: SyncAlways}, 2)
 	segs := syntheticSegs(10)
 	if err := s.Append("poisoned", segs[:5]); err != nil {
 		t.Fatal(err)
@@ -135,7 +144,7 @@ func TestMetaLRUConcurrentChurn(t *testing.T) {
 		devices = 16
 		workers = 8
 	)
-	s := openStore(t, Config{MaxResidentLogs: 3, MaxOpenFiles: 2, Sync: SyncAlways})
+	s := openResident(t, Config{MaxOpenFiles: 2, Sync: SyncAlways}, 3)
 	segs := syntheticSegs(workers)
 	dev := func(d int) string { return fmt.Sprintf("churn-%02d", d) }
 	var wg sync.WaitGroup

@@ -19,9 +19,9 @@ import (
 // remount finished) and doubling the backoff if it has not.
 
 // poisonLocked quarantines l with err as its sticky failure and returns
-// err. The open handle, dirty flag, and LRU membership are dropped —
-// whatever the page cache held is no longer trusted; recovery re-reads
-// the file. Caller holds l.mu.
+// err. The open handle, dirty flag, and handle-list membership are
+// dropped — whatever the page cache held is no longer trusted; recovery
+// re-reads the file. Caller holds l.mu.
 //
 //trajlint:holds l.mu
 func (s *Store) poisonLocked(l *deviceLog, err error) error {

@@ -27,8 +27,9 @@ import (
 // that DO rewrite bytes — whole-file retention deletes and expired-
 // prefix truncation (compact.go) — honor the snapshot's per-file read
 // pins and skip a pinned file until its readers are gone, so a file
-// being read is never deleted or renamed-over under a reader. Readers
-// open their own descriptors, leaving the append-handle LRU untouched.
+// being read is never deleted or renamed-over under a reader, and the
+// log stays resident (handles.go). Readers open their own descriptors,
+// so they never refresh a log's handle recency, only its residency.
 //
 // Every query reads through one function, span: the decoded segments of
 // one index-entry span. With Config.ReadCacheBytes set it serves the
@@ -82,7 +83,7 @@ var snapPool = sync.Pool{New: func() any { return new(readSnap) }}
 // after it is released — so concurrent readers, appenders, and the sink
 // workers never wait on one another here. Call release when done.
 func (s *Store) snapshot(device string) (*readSnap, error) {
-	l, err := s.lockLog(device)
+	l, err := s.lockLog(device, false)
 	if err != nil {
 		return nil, err
 	}

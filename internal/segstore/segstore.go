@@ -21,12 +21,13 @@
 // log is reported as corruption rather than silently skipped.
 //
 // The store is resource-bounded the same way the paper's encoders are:
-// at most Config.MaxOpenFiles device logs hold an open file handle (an
-// LRU transparently closes and reopens cold logs), and per-device disk
-// usage is bounded by Config.MaxLogBytes / Config.MaxLogAge retention,
-// enforced by deleting whole rotated files oldest-first (compact.go) —
-// so millions of devices streaming forever cost neither millions of
-// descriptors nor unbounded disk.
+// at most Config.MaxOpenFiles device logs hold an open file handle and
+// at most 65,536 keep their metadata in memory (one residency walk
+// transparently closes, drops and reopens cold logs; handles.go), and
+// per-device disk usage is bounded by Config.MaxLogBytes /
+// Config.MaxLogAge retention, enforced by deleting whole rotated files
+// oldest-first (compact.go) — so millions of devices streaming forever
+// cost neither millions of descriptors nor unbounded memory or disk.
 //
 // Every append is a write followed by a commit. AppendNoSync and
 // CommitDevices implement stream.Sink, so a Store plugs directly into
@@ -84,11 +85,6 @@ const (
 	// is zero: generous enough that modest fleets never evict, far below
 	// typical fd rlimits.
 	DefaultMaxOpenFiles = 1024
-	// DefaultMaxResidentLogs is the in-memory metadata cap when
-	// Config.MaxResidentLogs is zero: roomy (metadata is a few hundred
-	// bytes per device), but no longer proportional to every device the
-	// process has ever seen.
-	DefaultMaxResidentLogs = 65536
 	// DefaultReadCacheBytes is the granule-cache budget trajserve passes
 	// by default. Config.ReadCacheBytes has no implicit default — the
 	// zero Config keeps the cache off.
@@ -163,16 +159,10 @@ type Config struct {
 	// once; colder logs are transparently closed and reopened on their
 	// next append. 0 selects DefaultMaxOpenFiles; negative is an error.
 	// The cap holds at quiescence; while logs are mid-operation or
-	// pinned by a pending commit it may be exceeded (see handleLRU).
+	// pinned by a pending commit it may be exceeded. It is the one
+	// residency knob: the walk enforcing it also keeps at most 65,536
+	// logs' metadata in memory (handles.go).
 	MaxOpenFiles int
-	// MaxResidentLogs caps how many device logs keep metadata (file
-	// list, append offset, time index) resident in memory; the coldest
-	// are evicted and transparently re-recovered on next touch, so the
-	// store's footprint stops growing with every device ever seen. 0
-	// selects DefaultMaxResidentLogs; negative is an error. Like
-	// MaxOpenFiles, the cap is a strong target: it can be exceeded
-	// transiently while every resident log is busy, warm, or poisoned.
-	MaxResidentLogs int
 	// MaxLogBytes, when positive, bounds each device's log on disk:
 	// whole rotated files are deleted oldest-first while the total
 	// exceeds it. The active file is never deleted, so the effective
@@ -210,10 +200,10 @@ type Stats struct {
 	OpenHandles     int64 `json:"open_handles"`     // device logs holding an open file now
 	HandleHits      int64 `json:"handle_hits"`      // appends that found their file open
 	HandleMisses    int64 `json:"handle_misses"`    // appends that had to open (or create) a file
-	HandleEvictions int64 `json:"handle_evictions"` // cold handles closed by the MaxOpenFiles LRU
+	HandleEvictions int64 `json:"handle_evictions"` // cold handles closed by the residency walk
 
 	ResidentLogs  int64 `json:"resident_logs"`  // device logs with metadata in memory now
-	MetaEvictions int64 `json:"meta_evictions"` // cold metadata dropped by the MaxResidentLogs LRU
+	MetaEvictions int64 `json:"meta_evictions"` // cold logs' metadata dropped by the residency walk
 
 	IndexWrites   int64 `json:"index_writes"`   // time-index sidecars persisted
 	IndexRebuilds int64 `json:"index_rebuilds"` // sidecars rebuilt from data (missing/corrupt/stale)
@@ -234,19 +224,20 @@ type Stats struct {
 // are safe for concurrent use; appends for different devices proceed in
 // parallel.
 type Store struct {
-	cfg      Config
-	fs       fileSystem       // osFS in production; a fault injector in tests
-	now      func() time.Time // wall clock for index entries and quarantine backoff; fixed in tests
-	idxGran  int64            // index coalescing span; shrunk in tests
-	quarBase time.Duration    // first quarantine reopen backoff; shrunk in tests
-	quarMax  time.Duration    // backoff cap
+	cfg         Config
+	fs          fileSystem       // osFS in production; a fault injector in tests
+	now         func() time.Time // wall clock for index entries and quarantine backoff; fixed in tests
+	idxGran     int64            // index coalescing span; shrunk in tests
+	quarBase    time.Duration    // first quarantine reopen backoff; shrunk in tests
+	quarMax     time.Duration    // backoff cap
+	maxResident int              // resident-log budget (residentLogs); shrunk in tests
 
-	mu     sync.Mutex
-	logs   map[string]*deviceLog //trajlint:guardedby mu
-	metaLL list.List             //trajlint:guardedby mu -- *deviceLog metadata recency, most recent at front
+	mu       sync.Mutex            // the residency lock (handles.go), never held across I/O
+	logs     map[string]*deviceLog //trajlint:guardedby mu
+	resident list.List             //trajlint:guardedby mu -- every *deviceLog in logs, most recently touched at the front
+	handles  list.List             //trajlint:guardedby mu -- the *deviceLogs holding an open file, most recently appended at the front
 
-	handles handleLRU
-	cache   *granuleCache // nil when Config.ReadCacheBytes is 0
+	cache *granuleCache // nil when Config.ReadCacheBytes is 0
 
 	appends    atomic.Int64
 	segments   atomic.Int64
@@ -277,8 +268,9 @@ type Store struct {
 // deviceLog is one device's on-disk state. Opened lazily: recovery work
 // happens at the first Append or Replay touching the device, not at
 // store Open, so startup cost does not scale with the device population.
-// The metadata (file list, append offset) stays resident once opened;
-// the file handle itself comes and goes under the MaxOpenFiles LRU.
+// The residency walk (handles.go) takes the file handle of a cold log,
+// and drops an idle log's metadata (file list, append offset) once more
+// logs than its budget are resident.
 type deviceLog struct {
 	// The per-device log lock is the write path's designed
 	// serialization point: appends, rotation, retention and recovery
@@ -290,10 +282,11 @@ type deviceLog struct {
 	device  string
 	dir     string
 	opened  bool   //trajlint:guardedby mu
-	evicted bool   //trajlint:guardedby mu -- metadata LRU dropped this instance; holders must re-resolve
+	evicted bool   //trajlint:guardedby mu -- the residency walk dropped this instance; holders must re-resolve
 	seqs    []int  //trajlint:guardedby mu -- existing file numbers, ascending; set through setSeqs
 	newest  string //trajlint:guardedby mu -- path of the newest file in seqs, "" when there is none
 	f       file   //trajlint:guardedby mu -- newest file, open for append; nil until first write or after eviction
+	closing int    //trajlint:guardedby mu -- files the walk detached that settle has not yet closed
 	size    int64  //trajlint:guardedby mu -- valid bytes in the newest file
 	dirty   bool   //trajlint:guardedby mu -- has unsynced writes
 	legacy  bool   //trajlint:guardedby mu -- the newest file is TSG1 or TSG2, which take no chained record; the next append rotates first
@@ -327,10 +320,9 @@ type deviceLog struct {
 	wtail   []tailSpan //trajlint:guardedby mu
 
 	// pins counts writes awaiting their commit (CommitDevices, or the
-	// commit step inside Append). A pinned log's handle is exempt from
-	// the MaxOpenFiles LRU (and its metadata from the resident-log LRU),
-	// so the fsync the commit owes lands on the same open file the
-	// writes went to.
+	// commit step inside Append). The residency walk leaves a pinned log
+	// its handle (and its metadata), so the fsync the commit owes lands
+	// on the same open file the writes went to.
 	pins int //trajlint:guardedby mu
 
 	// readPins counts live read snapshots per file (by seq). A pinned
@@ -339,8 +331,8 @@ type deviceLog struct {
 	// decode stable bytes without holding mu.
 	readPins map[int]int //trajlint:guardedby mu
 
-	elem     *list.Element //trajlint:guardedby handleLRU.mu -- LRU position while f is open
-	metaElem *list.Element //trajlint:guardedby Store.mu -- metadata recency position
+	residentElem *list.Element //trajlint:guardedby Store.mu -- position in Store.resident
+	handleElem   *list.Element //trajlint:guardedby Store.mu -- position in Store.handles while f is open
 }
 
 // tailSpan is one staged time-index entry for a record sitting in the
@@ -385,12 +377,6 @@ func openFS(cfg Config, fsys fileSystem) (*Store, error) {
 	if cfg.MaxOpenFiles == 0 {
 		cfg.MaxOpenFiles = DefaultMaxOpenFiles
 	}
-	if cfg.MaxResidentLogs < 0 {
-		return nil, fmt.Errorf("segstore: negative MaxResidentLogs %d", cfg.MaxResidentLogs)
-	}
-	if cfg.MaxResidentLogs == 0 {
-		cfg.MaxResidentLogs = DefaultMaxResidentLogs
-	}
 	if cfg.MaxLogAge < 0 {
 		return nil, fmt.Errorf("segstore: negative MaxLogAge %v", cfg.MaxLogAge)
 	}
@@ -404,16 +390,16 @@ func openFS(cfg Config, fsys fileSystem) (*Store, error) {
 		return nil, fmt.Errorf("segstore: %w", err)
 	}
 	s := &Store{
-		cfg:      cfg,
-		fs:       fsys,
-		now:      defaultNow,
-		idxGran:  defaultIndexGranularity,
-		quarBase: defaultQuarantineBase,
-		quarMax:  defaultQuarantineMax,
-		logs:     make(map[string]*deviceLog),
-		stop:     make(chan struct{}),
+		cfg:         cfg,
+		fs:          fsys,
+		now:         defaultNow,
+		idxGran:     defaultIndexGranularity,
+		quarBase:    defaultQuarantineBase,
+		quarMax:     defaultQuarantineMax,
+		maxResident: residentLogs,
+		logs:        make(map[string]*deviceLog),
+		stop:        make(chan struct{}),
 	}
-	s.handles.cap = cfg.MaxOpenFiles
 	if cfg.ReadCacheBytes > 0 {
 		s.cache = newGranuleCache(cfg.ReadCacheBytes)
 	}
@@ -492,68 +478,45 @@ func unescapeDevice(name string) (string, error) {
 	return sb.String(), nil
 }
 
-func (s *Store) log(device string) (*deviceLog, error) {
+// log resolves device's resident log, creating it (and running the
+// residency walk) on first touch, else refreshing its recency: its
+// handle's too, forAppend. Readers open their own descriptors.
+func (s *Store) log(device string, forAppend bool) (*deviceLog, error) {
 	if device == "" || len(device) > maxDeviceID {
 		return nil, fmt.Errorf("%w: %q", ErrDeviceID, device)
 	}
+	var cold []detached // a creation walk detaches only what earlier walks skipped
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.closed.Load() {
+		s.mu.Unlock()
 		return nil, ErrClosed
 	}
 	l := s.logs[device]
 	if l == nil {
 		l = &deviceLog{device: device, dir: filepath.Join(s.cfg.Dir, escapeDevice(device))}
 		s.logs[device] = l
-		l.metaElem = s.metaLL.PushFront(l)
-		s.evictMetaLocked(l)
+		l.residentElem = s.resident.PushFront(l)
+		cold = s.trimLocked(l, cold)
 	} else {
-		s.metaLL.MoveToFront(l.metaElem)
+		s.resident.MoveToFront(l.residentElem)
+		if forAppend && l.handleElem != nil {
+			s.handles.MoveToFront(l.handleElem)
+		}
 	}
+	s.mu.Unlock()
+	s.settle(cold)
 	return l, nil
 }
 
-// evictMetaLocked drops the coldest resident device logs while the
-// MaxResidentLogs cap is exceeded — the metadata mirror of the handle
-// LRU, so the logs map stops growing with every device ever seen.
-// Victims must be fully quiescent: no open handle (the handle LRU's
-// tighter cap makes cold logs handle-less first), no sticky failure (a
-// poisoned log must keep rejecting appends — a fresh instance would
-// forget the failed fsync), no live read snapshots (their pins live on
-// this instance; a successor would not see them and retention could
-// delete a file mid-read), and not mid-operation (TryLock). Evicted
-// instances are flagged so a holder that raced past the map lookup
-// re-resolves instead of writing alongside a successor (see lockLog).
-// Caller holds s.mu.
-//
-//trajlint:holds s.mu
-func (s *Store) evictMetaLocked(keep *deviceLog) {
-	for e := s.metaLL.Back(); e != nil && s.metaLL.Len() > s.cfg.MaxResidentLogs; {
-		prev := e.Prev()
-		v := e.Value.(*deviceLog)
-		if v != keep && v.mu.TryLock() {
-			if v.f == nil && !v.dirty && v.failed == nil && v.pins == 0 && len(v.readPins) == 0 {
-				v.evicted = true
-				delete(s.logs, v.device)
-				s.metaLL.Remove(e)
-				v.metaElem = nil
-				s.metaEvictions.Add(1)
-			}
-			v.mu.Unlock()
-		}
-		e = prev
-	}
-}
-
 // lockLog resolves device's resident log and returns it with its mutex
-// held, retrying if the metadata LRU evicted the instance between
+// held, retrying if the residency walk dropped the instance between
 // lookup and lock — the window where a stale pointer and a fresh
 // instance could otherwise both touch the same files.
 //
 //trajlint:returns-locked mu
-func (s *Store) lockLog(device string) (*deviceLog, error) {
+func (s *Store) lockLog(device string, forAppend bool) (*deviceLog, error) {
 	for {
-		l, err := s.log(device)
+		l, err := s.log(device, forAppend)
 		if err != nil {
 			return nil, err
 		}
@@ -694,8 +657,8 @@ func (s *Store) listSeqs(dir string) ([]int, []string, error) {
 // open lists the device's files and recovers the newest one, truncating
 // a torn tail so the append offset lands on a record boundary. It leaves
 // no file handle behind — the append path opens one on demand, under the
-// MaxOpenFiles LRU, so a replay-only sweep of a million devices costs no
-// lingering descriptors. Caller holds l.mu.
+// MaxOpenFiles budget, so a replay-only sweep of a million devices costs
+// no lingering descriptors. Caller holds l.mu.
 //
 //trajlint:holds l.mu
 func (l *deviceLog) open(s *Store) error {
@@ -851,6 +814,7 @@ func (l *deviceLog) rotate(s *Store) error {
 		// append target — handle() reopens it at the tracked offset and
 		// its tail index stays live — so the failure costs this append
 		// only, and no sidecar gets persisted for a file still growing.
+		_ = s.dropHandle(l) // the handle list holds only logs with a file
 		return err
 	}
 	// Rotation is the moment a file becomes immutable — the one point
@@ -873,7 +837,7 @@ func (s *Store) Append(device string, segs []traj.Segment) error {
 	if len(segs) == 0 {
 		return nil
 	}
-	l, err := s.lockLog(device)
+	l, err := s.lockLog(device, true)
 	if err != nil {
 		return err
 	}
@@ -883,20 +847,20 @@ func (s *Store) Append(device string, segs []traj.Segment) error {
 	}
 	l.mu.Unlock()
 	if unpinned {
-		s.trimHandles(nil)
+		s.trim()
 	}
 	return err
 }
 
 // AppendNoSync writes the same bytes as Append but leaves the log dirty
-// and pinned — its handle exempt from the LRUs — until a CommitDevices
+// and pinned — exempt from the residency walk — until a CommitDevices
 // call settles it, so the only thing at risk before the commit is the
 // fsync. The pair is the stream.Sink the engine's sink writers drive.
 func (s *Store) AppendNoSync(device string, segs []traj.Segment) error {
 	if len(segs) == 0 {
 		return nil
 	}
-	l, err := s.lockLog(device)
+	l, err := s.lockLog(device, true)
 	if err != nil {
 		return err
 	}
@@ -923,8 +887,8 @@ func (s *Store) appendLocked(l *deviceLog, segs []traj.Segment) error {
 	if err := l.open(s); err != nil {
 		return err
 	}
-	// Reopen the newest file if the handle LRU evicted it (or mark the
-	// handle warm if not); a log with no files yet is created below.
+	// Reopen the newest file if the residency walk took it; a log with
+	// no files yet is created below.
 	if err := l.handle(s); err != nil {
 		return err
 	}
@@ -1065,6 +1029,7 @@ func (l *deviceLog) encodeRecord(segs []traj.Segment, c chain) chain {
 // failure is returned, but every device is still committed.
 func (s *Store) CommitDevices(devices []string) error {
 	var first error
+	unpinned := false
 	for _, dev := range devices {
 		s.mu.Lock()
 		l := s.logs[dev]
@@ -1073,26 +1038,25 @@ func (s *Store) CommitDevices(devices []string) error {
 			continue
 		}
 		l.mu.Lock()
-		unpinned, err := s.commitLocked(l)
+		u, err := s.commitLocked(l)
 		l.mu.Unlock()
-		if unpinned {
-			// Trim only after releasing l.mu: the trim must be able to close
-			// l itself, and two concurrent commits trimming under their own
-			// locks could each skip the other's log and leave the cap
-			// exceeded.
-			s.trimHandles(nil)
-		}
+		unpinned = unpinned || u
 		if err != nil && first == nil {
 			first = err
 		}
+	}
+	if unpinned {
+		// One walk for the call, with no log lock held, so it can take the
+		// logs just unpinned, which every walk since their pins had to skip.
+		s.trim()
 	}
 	return first
 }
 
 // commitLocked is the commit step: it releases one pin on l and, under
 // SyncAlways, fsyncs the log if it holds unsynced bytes. It reports
-// whether that was l's last pin — the handle LRU skips pinned logs, so
-// the caller trims it once l.mu is released. Caller holds l.mu.
+// whether that was l's last pin — the residency walk skips pinned logs,
+// so the caller trims once l.mu is released. Caller holds l.mu.
 //
 //trajlint:holds l.mu
 func (s *Store) commitLocked(l *deviceLog) (unpinned bool, err error) {
@@ -1101,8 +1065,8 @@ func (s *Store) commitLocked(l *deviceLog) (unpinned bool, err error) {
 		unpinned = l.pins == 0
 	}
 	// Nothing to sync: a poisoned log already surfaced its failure through
-	// the append, an evicted instance holds no deferred state (pinned logs
-	// are LRU-exempt), and a nil handle means Close or rotation already
+	// the append, an evicted instance holds no deferred state (the walk
+	// skips pinned logs), and a nil handle means Close or rotation already
 	// made the bytes durable.
 	if l.failed != nil || l.evicted || s.cfg.Sync != SyncAlways || !l.dirty || l.f == nil {
 		return unpinned, nil
@@ -1152,17 +1116,24 @@ func (s *Store) Devices() ([]string, error) {
 	return out, nil
 }
 
-// Sync fsyncs every log with unsynced writes. The background flusher
-// calls this on the SyncInterval period.
-func (s *Store) Sync() error {
+// residentLogs snapshots the logs for a pass that then locks each in
+// turn, since s.mu nests inside a log's mu. One dropped after the
+// snapshot is idle, so the pass has nothing to do for it.
+func (s *Store) residentLogs() []*deviceLog {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	logs := make([]*deviceLog, 0, len(s.logs))
 	for _, l := range s.logs {
 		logs = append(logs, l)
 	}
-	s.mu.Unlock()
+	return logs
+}
+
+// Sync fsyncs every log with unsynced writes. The background flusher
+// calls this on the SyncInterval period.
+func (s *Store) Sync() error {
 	var first error
-	for _, l := range logs {
+	for _, l := range s.residentLogs() {
 		l.mu.Lock()
 		if l.dirty && l.f != nil {
 			if err := l.f.Sync(); err != nil {
@@ -1209,7 +1180,7 @@ func (s *Store) runMaintenance() {
 // Stats returns a snapshot of the store-wide counters.
 func (s *Store) Stats() Stats {
 	s.mu.Lock()
-	resident := int64(s.metaLL.Len())
+	resident, open := int64(s.resident.Len()), int64(s.handles.Len())
 	s.mu.Unlock()
 	return Stats{
 		Appends:    s.appends.Load(),
@@ -1222,7 +1193,7 @@ func (s *Store) Stats() Stats {
 		PoisonedLogs:      s.poisonedLogs.Load(),
 		QuarantineReopens: s.quarReopens.Load(),
 
-		OpenHandles:     int64(s.handles.open()),
+		OpenHandles:     open,
 		HandleHits:      s.handleHits.Load(),
 		HandleMisses:    s.handleMisses.Load(),
 		HandleEvictions: s.handleEvictions.Load(),
@@ -1255,14 +1226,14 @@ func (s *Store) Close() error {
 	}
 	close(s.stop)
 	s.maint.Wait()
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	// closed freezes the log table: an append that passed its closed
+	// check may still register a handle, but only on a log in the
+	// snapshot.
 	var first error
-	for _, l := range s.logs {
+	for _, l := range s.residentLogs() {
 		l.mu.Lock()
 		if l.f != nil {
 			if s.cfg.Sync != SyncNever && l.dirty {
-				//trajlint:ignore lockio shutdown path: Close holds s.mu precisely to freeze the log table while it flushes every handle once; nothing else can contend
 				if err := l.f.Sync(); err != nil && first == nil {
 					first = fmt.Errorf("segstore: %w", err)
 				}

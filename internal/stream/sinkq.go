@@ -309,8 +309,12 @@ func (sw *sweep) flush() {
 				// One line per device per burst, not per lost payload: a
 				// wedged disk under load must not flood the process log.
 				sw.inErr[ds.device] = true
-				log.Printf("stream: sink append %s: %v (%d segments lost; suppressing until recovery)",
-					ds.device, err, len(ds.segs))
+				step := "append"
+				if ds.err == nil {
+					step = "commit" // the write landed; the sweep's fsync failed
+				}
+				log.Printf("stream: sink %s %s: %v (%d segments lost; suppressing until recovery)",
+					step, ds.device, err, len(ds.segs))
 			}
 		default:
 			delete(sw.inErr, ds.device)

@@ -234,7 +234,7 @@ type Stats struct {
 	// Store carries the durability tier's counters when the configured
 	// Sink exposes them (see StatsSink); nil otherwise. One Stats call
 	// answers for the whole storage path: sessions in memory, segments on
-	// disk, handle-LRU and retention activity underneath.
+	// disk, residency and retention activity underneath.
 	Store *segstore.Stats `json:"store,omitempty"`
 }
 

@@ -1,8 +1,11 @@
 package stream
 
 import (
+	"bytes"
 	"errors"
+	"log"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -152,8 +155,12 @@ func TestRecyclePoolCap(t *testing.T) {
 // which file's fsync failed — even though each AppendNoSync succeeded.
 // Nothing is announced to OnSink, nothing counts as appended, and Flush
 // and FlushAll still hand the tails back to the caller, with a
-// *FlushError naming the devices whose tails were lost.
+// *FlushError naming the devices whose tails were lost. The process log
+// blames the commit, not the append.
 func TestSweepCommitFailure(t *testing.T) {
+	logged, prev := &logBuffer{}, log.Writer()
+	log.SetOutput(logged)
+	t.Cleanup(func() { log.SetOutput(prev) })
 	sink := &gateSink{memSink: memSink{failCommit: errors.New("fsync: input/output error")}, gate: make(chan struct{})}
 	rec := &hookRecorder{}
 	e, err := NewEngine(Config{Zeta: 5, Sink: sink, SinkWriters: 1, SinkQueue: 512, OnSink: rec.hook})
@@ -214,6 +221,28 @@ func TestSweepCommitFailure(t *testing.T) {
 	if len(rec.segs) != 0 {
 		t.Errorf("OnSink announced %d devices whose commit failed", len(rec.segs))
 	}
+	if out := logged.String(); !strings.Contains(out, "stream: sink commit ") || strings.Contains(out, "sink append") {
+		t.Errorf("log blames the wrong step of a failed commit:\n%s", out)
+	}
+}
+
+// logBuffer captures the standard logger's output for a test to read
+// while other goroutines may still write to it.
+type logBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (w *logBuffer) Write(p []byte) (int, error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.b.Write(p)
+}
+
+func (w *logBuffer) String() string {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.b.String()
 }
 
 // gatedStore wedges the write half of a real segment store, so a

@@ -10,9 +10,9 @@ import (
 // engine emits survives a restart; Replay serves it back.
 //
 // The store is resource-bounded: SegmentStoreConfig.MaxOpenFiles caps
-// how many device logs hold an open file handle (cold logs are
-// transparently closed and reopened by an LRU), MaxResidentLogs caps
-// how many keep metadata in memory, and MaxLogBytes / MaxLogAge bound
+// how many device logs hold an open file handle, and at most 65,536
+// keep their metadata in memory; one residency walk transparently
+// closes, drops and reopens cold logs. MaxLogBytes / MaxLogAge bound
 // each device's disk usage via retention — whole rotated files are
 // deleted oldest-first, never splitting a record, so whatever survives
 // replays as an intact, contiguous suffix; under MaxLogAge, expired
@@ -31,14 +31,15 @@ import (
 type (
 	// SegmentStore is an append-only segment log over one directory:
 	// CRC-framed, varint delta-coded records in size-rotated files, with
-	// torn-tail recovery on open, a bounded file-handle LRU, and
-	// per-device retention.
+	// torn-tail recovery on open, bounded file handles and resident
+	// metadata, and per-device retention.
 	SegmentStore = segstore.Store
 	// SegmentStoreConfig parameterizes OpenSegmentStore; Dir is required.
 	SegmentStoreConfig = segstore.Config
 	// SegmentStoreStats are the store-wide counters: appends, segments,
 	// bytes, fsyncs, recovery truncations, handle hits/misses/evictions,
-	// and retention's bytes reclaimed / files deleted.
+	// resident logs and their evictions, and retention's bytes reclaimed /
+	// files deleted.
 	SegmentStoreStats = segstore.Stats
 	// SyncPolicy selects when appends are fsynced.
 	SyncPolicy = segstore.SyncPolicy
