@@ -43,7 +43,6 @@ func (t Table) Format(w io.Writer) error {
 	return err
 }
 
-func f1(v float64) string   { return fmt.Sprintf("%.1f", v) }
 func f2(v float64) string   { return fmt.Sprintf("%.2f", v) }
 func pct(v float64) string  { return fmt.Sprintf("%.1f%%", v*100) }
 func ms(v float64) string   { return fmt.Sprintf("%.1f", v) }

@@ -16,25 +16,34 @@ import (
 // performs; then, for each operation index (and for each failure shape —
 // generic I/O error, ENOSPC, short write), the workload re-runs with
 // that single operation failing. Whatever the store acknowledged must
-// replay, in order, from a clean reopen of the directory; batches whose
-// append failed may appear (the fault can strike after the bytes landed)
-// but only atomically and only in their original position — the store
-// never acknowledges data it lost and never replays garbage.
+// replay, in order, both from the live store that took the fault and
+// from a clean reopen of the directory; batches whose append failed may
+// appear (the fault can strike after the bytes landed) but only
+// atomically and only in their original position — the store never
+// acknowledges data it lost and never replays garbage.
 
 const (
 	faultDev     = "fault-dev"
 	nFaultBatch  = 12
 	faultFileMax = 96 // bytes; forces several rotations over the workload
+	// faultIdxGran gives each faultFileMax file several index entries,
+	// with chained records between them, so a live index that is stale
+	// after a fault points its reads at the wrong bytes.
+	faultIdxGran = 24
 )
 
 // runFaultWorkload executes the scripted workload against ffs: 12
 // single-segment batches for one device, mixing the plain Append path
 // with the deferred AppendNoSync+CommitDevices group-commit path, under
-// SyncAlways with a tiny rotation threshold. It reports which batches
-// were acknowledged (append and, for deferred ones, commit both
-// succeeded). quarBase 0 lets a poisoned log attempt recovery on the
-// very next append, so a single injected fault costs at most one batch.
-func runFaultWorkload(t *testing.T, dir string, ffs *faultFS) (acked []bool) {
+// SyncAlways with a tiny rotation threshold and index granularity. It
+// reports which batches were acknowledged (append and, for deferred
+// ones, commit both succeeded). quarBase 0 lets a poisoned log attempt
+// recovery on the very next append, so a single injected fault costs at
+// most one batch. Before closing the store it replays the device in
+// process, which must pass the acknowledged-prefix oracle like the
+// clean reopen does; that replay may fail only when the armed fault
+// fired inside it.
+func runFaultWorkload(t *testing.T, dir, label string, ffs *faultFS) (acked []bool) {
 	t.Helper()
 	acked = make([]bool, nFaultBatch)
 	s, err := openFS(Config{Dir: dir, Sync: SyncAlways, MaxFileSize: faultFileMax}, ffs)
@@ -42,6 +51,7 @@ func runFaultWorkload(t *testing.T, dir string, ffs *faultFS) (acked []bool) {
 		return acked // store never opened: nothing acknowledged
 	}
 	s.quarBase = 0
+	s.idxGran = faultIdxGran
 	defer s.Close()
 	segs := syntheticSegs(nFaultBatch)
 	for k := 0; k < nFaultBatch; k++ {
@@ -56,6 +66,14 @@ func runFaultWorkload(t *testing.T, dir string, ffs *faultFS) (acked []bool) {
 		} else {
 			acked[k] = s.Append(faultDev, b) == nil
 		}
+	}
+	firedBefore := ffs.hasFired()
+	got, err := s.Replay(faultDev)
+	switch {
+	case err == nil:
+		checkAckedPrefix(t, label+": live replay", got, acked)
+	case firedBefore || !ffs.hasFired():
+		t.Fatalf("%s: live replay: %v", label, err)
 	}
 	return acked
 }
@@ -76,9 +94,8 @@ func wantBatches(t *testing.T) []traj.Segment {
 	return out
 }
 
-// verifyAckedPrefix reopens dir with the real filesystem and checks the
-// replay against the acknowledgements: every acked batch present, in
-// order; unacked batches optional but only in position; nothing else.
+// verifyAckedPrefix reopens dir with the real filesystem and checks its
+// replay against the acknowledgements.
 func verifyAckedPrefix(t *testing.T, dir, label string, acked []bool) {
 	t.Helper()
 	s, err := Open(Config{Dir: dir})
@@ -90,6 +107,13 @@ func verifyAckedPrefix(t *testing.T, dir, label string, acked []bool) {
 	if err != nil {
 		t.Fatalf("%s: replay: %v", label, err)
 	}
+	checkAckedPrefix(t, label, got, acked)
+}
+
+// checkAckedPrefix is the oracle: every acked batch present in got, in
+// order; unacked batches optional but only in position; nothing else.
+func checkAckedPrefix(t *testing.T, label string, got []traj.Segment, acked []bool) {
+	t.Helper()
 	want := wantBatches(t)
 	k := 0
 	for _, sg := range got {
@@ -117,7 +141,7 @@ func verifyAckedPrefix(t *testing.T, dir, label string, acked []bool) {
 func TestFaultMatrix(t *testing.T) {
 	// Trace pass: no fault, enumerate the op sequence.
 	trace := newFaultFS()
-	acked := runFaultWorkload(t, t.TempDir(), trace)
+	acked := runFaultWorkload(t, t.TempDir(), "trace pass", trace)
 	for k, ok := range acked {
 		if !ok {
 			t.Fatalf("trace pass: batch %d not acknowledged with no fault armed", k)
@@ -148,7 +172,7 @@ func TestFaultMatrix(t *testing.T) {
 			ffs := newFaultFS()
 			ffs.armAt, ffs.err, ffs.short = i, sh.err, sh.short
 			dir := t.TempDir()
-			acked := runFaultWorkload(t, dir, ffs)
+			acked := runFaultWorkload(t, dir, label, ffs)
 			if !ffs.fired {
 				t.Fatalf("%s: armed fault never fired (trace drift?)", label)
 			}
@@ -287,6 +311,44 @@ func TestEvictionFsyncFailureReachesNextAppend(t *testing.T) {
 	}
 	if err := s.Append("victim", segs[2:3]); !errors.Is(err, syscall.EIO) {
 		t.Fatalf("append after its evicted handle's fsync failed: %v, want the injected EIO", err)
+	}
+}
+
+// TestFirstFileDirSyncNotForgotten: under SyncAlways a log's first file
+// takes appends only once its directory entry is synced. While that
+// directory fsync keeps failing, every append to the new device must
+// fail, the second as much as the first: none may commit into a file
+// whose entry a power loss could take. Once the directory heals, the
+// next append succeeds and the replay holds exactly what was
+// acknowledged.
+func TestFirstFileDirSyncNotForgotten(t *testing.T) {
+	ffs := newFaultFS()
+	s, err := openFS(Config{Dir: t.TempDir(), Sync: SyncAlways}, ffs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	segs := syntheticSegs(3)
+
+	// "open" is syncDir's directory open; listSeqs lists with ReadDir.
+	ffs.err = syscall.EIO
+	ffs.setWedge("open")
+	if err := s.Append(faultDev, segs[0:1]); !errors.Is(err, syscall.EIO) {
+		t.Fatalf("first append with the directory fsync failing: %v, want the injected EIO", err)
+	}
+	if err := s.Append(faultDev, segs[1:2]); !errors.Is(err, syscall.EIO) {
+		t.Fatalf("second append with the directory fsync still failing: %v, want the injected EIO", err)
+	}
+	ffs.setWedge("")
+	if err := s.Append(faultDev, segs[2:3]); err != nil {
+		t.Fatalf("append after the directory healed: %v", err)
+	}
+	got, err := s.Replay(faultDev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := wantBatches(t)[2]; len(got) != 1 || got[0] != want {
+		t.Fatalf("replay = %+v, want only the acknowledged batch %+v", got, want)
 	}
 }
 

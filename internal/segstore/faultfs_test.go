@@ -84,6 +84,13 @@ func (ff *faultFS) kindAt(i int) string {
 	return ff.trace[i]
 }
 
+// hasFired reports whether the armed fault has gone off.
+func (ff *faultFS) hasFired() bool {
+	ff.mu.Lock()
+	defer ff.mu.Unlock()
+	return ff.fired
+}
+
 func (ff *faultFS) setWedge(kind string) {
 	ff.mu.Lock()
 	ff.wedge = kind

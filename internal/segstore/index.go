@@ -168,20 +168,20 @@ func decodeIndexFile(b []byte) (dataLen int64, entries []indexEntry, err error) 
 	return int64(size), entries, nil
 }
 
-// addTail applies the staged entry of a record now on disk to the
-// newest file's in-memory index: a chain start opens an entry, a
+// addTail indexes a record now on disk, described by e, in the newest
+// file's in-memory index: a chain start (opens) opens an entry, a
 // chained record widens the current one. Caller holds l.mu.
 //
 //trajlint:holds l.mu
-func (l *deviceLog) addTail(p tailSpan, wall int64) {
-	if n := len(l.tail); n > 0 && !p.opens {
-		e := &l.tail[n-1]
-		e.minT = min(e.minT, p.minT)
-		e.maxT = max(e.maxT, p.maxT)
-		e.wall = max(e.wall, wall)
+func (l *deviceLog) addTail(e indexEntry, opens bool) {
+	if n := len(l.tail); n > 0 && !opens {
+		t := &l.tail[n-1]
+		t.minT = min(t.minT, e.minT)
+		t.maxT = max(t.maxT, e.maxT)
+		t.wall = max(t.wall, e.wall)
 		return
 	}
-	l.tail = append(l.tail, indexEntry{off: p.off, minT: p.minT, maxT: p.maxT, wall: wall})
+	l.tail = append(l.tail, e)
 }
 
 // entriesSorted reports whether entries are non-decreasing in both time
@@ -326,5 +326,5 @@ func (l *deviceLog) dropIndex(s *Store, seq int) {
 // overridable for deterministic tests.
 func (s *Store) nowMs() int64 { return s.now().UnixMilli() }
 
-//trajlint:ignore walltime this IS the clock seam: the one default Store.now falls back to when Config.Now is unset
+//trajlint:ignore walltime this IS the clock seam: Store.now starts as defaultNow, and only tests replace it
 var defaultNow = time.Now

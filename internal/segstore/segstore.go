@@ -32,10 +32,11 @@
 // Every append is a write followed by a commit. AppendNoSync and
 // CommitDevices implement stream.Sink, so a Store plugs directly into
 // stream.Config.Sink: each sink-writer sweep makes one AppendNoSync per
-// device (one write syscall each, fsync withheld), then one
-// CommitDevices for the whole sweep, so K devices × M batches cost at
-// most K fsyncs under SyncAlways instead of K×M. Append is the same
-// write and commit for one device, in one hold of its lock.
+// device (one write per record of up to 16,384 segments, fsync
+// withheld), then one CommitDevices for the whole sweep, so K devices ×
+// M batches cost at most K fsyncs under SyncAlways instead of K×M.
+// Append is the same write and commit for one device, in one hold of
+// its lock.
 package segstore
 
 import (
@@ -310,14 +311,11 @@ type deviceLog struct {
 	tail     []indexEntry      //trajlint:guardedby mu
 	idxCache map[int]fileIndex //trajlint:guardedby mu
 
-	// Reusable append scratch (payload encode, CRC framing, the
-	// write-combining buffer and its staged index entries), guarded by
+	// Reusable append scratch (payload encode, CRC framing), guarded by
 	// mu like the rest of the log: steady-state appends allocate
 	// nothing.
-	payload []byte     //trajlint:guardedby mu
-	frame   []byte     //trajlint:guardedby mu
-	wbuf    []byte     //trajlint:guardedby mu
-	wtail   []tailSpan //trajlint:guardedby mu
+	payload []byte //trajlint:guardedby mu
+	frame   []byte //trajlint:guardedby mu
 
 	// pins counts writes awaiting their commit (CommitDevices, or the
 	// commit step inside Append). The residency walk leaves a pinned log
@@ -333,16 +331,6 @@ type deviceLog struct {
 
 	residentElem *list.Element //trajlint:guardedby Store.mu -- position in Store.resident
 	handleElem   *list.Element //trajlint:guardedby Store.mu -- position in Store.handles while f is open
-}
-
-// tailSpan is one staged time-index entry for a record sitting in the
-// write-combining buffer: recorded at encode time, applied to the tail
-// index only after its bytes reach the disk. opens marks a chain start,
-// the one kind of record that opens an index entry.
-type tailSpan struct {
-	off        int64
-	minT, maxT int64
-	opens      bool
 }
 
 // Open validates cfg, creates the root directory, and returns a running
@@ -743,34 +731,88 @@ func (l *deviceLog) open(s *Store) error {
 	return nil
 }
 
-// create starts file number seq, writing the header. Caller holds l.mu
-// with l.f == nil (first write or just rotated).
+// nextFile starts the log's next file, file 1 for a log with none, and
+// makes it the append target. A log that has a file seals it first:
+// fsynced (unless SyncNever) and closed, quarantining the log on
+// failure. The log moves to the new file only once createFile has done
+// every fallible step of making it, so no append ever writes into a
+// file whose creation failed (its directory fsync, say). After a failed
+// create the log keeps the file it had, if any, as its append target:
+// handle reopens it at the tracked offset, its tail index still live,
+// and the next append retries the same seq. Caller holds l.mu, with l.f
+// open if the log has a file.
 //
 //trajlint:holds l.mu
-func (l *deviceLog) create(s *Store, seq int) error {
-	if err := s.fs.MkdirAll(l.dir, 0o755); err != nil {
-		return fmt.Errorf("segstore: %w", err)
+func (s *Store) nextFile(l *deviceLog) error {
+	seq := 1
+	if n := len(l.seqs); n > 0 {
+		seq = l.seqs[n-1] + 1
 	}
-	f, err := s.fs.OpenFile(l.path(seq), os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
-	if err != nil {
-		return fmt.Errorf("segstore: %w", err)
-	}
-	if _, err := f.Write([]byte(fileMagic)); err != nil {
-		// Remove the header-less file, or every retry of this seq would
-		// hit O_EXCL and wedge the device until restart.
-		f.Close()
-		s.fs.Remove(l.path(seq))
-		return fmt.Errorf("segstore: %w", err)
-	}
-	l.f, l.size, l.legacy, l.chain = f, int64(len(fileMagic)), false, chain{}
-	l.setSeqs(append(l.seqs, seq))
-	s.registerHandle(l)
-	if s.cfg.Sync == SyncAlways {
-		if err := s.syncDir(l.dir); err != nil {
-			return err
+	sealing := l.f != nil
+	if sealing {
+		if s.cfg.Sync != SyncNever {
+			if _, err := s.syncLocked(l, "rotate"); err != nil {
+				return err
+			}
+		}
+		err := l.f.Close()
+		l.f = nil
+		if err != nil {
+			// Close can surface deferred write-back errors; treat it like a
+			// failed fsync rather than sealing a file of unknown durability.
+			return s.poisonLocked(l, fmt.Errorf("segstore: rotate %s: close: %w", l.device, err))
 		}
 	}
+	f, err := s.createFile(l.dir, l.path(seq))
+	if err != nil {
+		_ = s.dropHandle(l) // the handle list holds only logs with a file
+		return err
+	}
+	if sealing {
+		// Rotation is the moment a file becomes immutable: the one point
+		// where persisting its index is final. Best effort: a failed sidecar
+		// write costs a rebuild on the next range read, never the append.
+		_ = l.writeIndex(s, seq-1, l.size, l.tail)
+		l.cacheIndex(seq-1, fileIndex{entries: l.tail, dataLen: l.size})
+	}
+	l.f, l.size, l.dirty, l.legacy = f, int64(len(fileMagic)), true, false
+	l.chain, l.tail = chain{}, nil // the sealed tail now belongs to the cache
+	l.setSeqs(append(l.seqs, seq))
+	s.registerHandle(l)
+	if sealing {
+		// Rotation is the moment the log grows past a file boundary:
+		// enforce retention now, while the budget overshoot is one file.
+		// Failure here must not fail the append; the maintenance loop
+		// retries on its next tick.
+		_ = s.compactLocked(l)
+	}
 	return nil
+}
+
+// createFile makes the log file at path, holding only its header: the
+// device directory if missing, an O_EXCL open, the magic and, under
+// SyncAlways, a directory fsync so the new entry survives a crash. On
+// any failure it removes the file it made, or every retry of the same
+// seq would hit O_EXCL and wedge the device until restart.
+func (s *Store) createFile(dir, path string) (file, error) {
+	if err := s.fs.MkdirAll(dir, 0o755); err != nil {
+		return nil, fmt.Errorf("segstore: %w", err)
+	}
+	f, err := s.fs.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
+	if err != nil {
+		return nil, fmt.Errorf("segstore: %w", err)
+	}
+	if _, err = f.Write([]byte(fileMagic)); err != nil {
+		err = fmt.Errorf("segstore: %w", err)
+	} else if s.cfg.Sync == SyncAlways {
+		err = s.syncDir(dir)
+	}
+	if err != nil {
+		f.Close()
+		s.fs.Remove(path)
+		return nil, err
+	}
+	return f, nil
 }
 
 // syncDir fsyncs a directory so freshly created file entries survive a
@@ -787,52 +829,35 @@ func (s *Store) syncDir(dir string) error {
 	return nil
 }
 
-// rotate closes the current file (fsyncing it unless SyncNever), seals
-// its time index as a sidecar, and starts the next one. Caller holds
-// l.mu.
+// syncLocked fsyncs l's open file if it holds unsynced bytes and
+// reports whether it did. A failed fsync quarantines the log, since
+// the kernel may have dropped the dirty pages and a retry on the same
+// descriptor would report success for them; op names the caller in the
+// error. Caller holds l.mu.
 //
 //trajlint:holds l.mu
-func (l *deviceLog) rotate(s *Store) error {
-	if s.cfg.Sync != SyncNever {
-		if err := l.f.Sync(); err != nil {
-			return s.poisonLocked(l, fmt.Errorf("segstore: rotate %s: sync: %w", l.device, err))
-		}
-		s.syncs.Add(1)
-		l.dirty = false
+func (s *Store) syncLocked(l *deviceLog, op string) (synced bool, err error) {
+	if !l.dirty || l.f == nil {
+		return false, nil
 	}
-	if err := l.f.Close(); err != nil {
-		// Close can surface deferred write-back errors; treat it like a
-		// failed fsync rather than sealing a file of unknown durability.
-		return s.poisonLocked(l, fmt.Errorf("segstore: rotate %s: close: %w", l.device, err))
+	if err := l.f.Sync(); err != nil {
+		return false, s.poisonLocked(l, fmt.Errorf("segstore: %s %s: %w", op, l.device, err))
 	}
-	l.f = nil
-	seq := l.seqs[len(l.seqs)-1]
-	sealedLen, sealed := l.size, l.tail
-	if err := l.create(s, seq+1); err != nil {
-		// The file is sealed only once its successor exists. On a failed
-		// create (ENOSPC, a vanished directory) the old file stays the
-		// append target — handle() reopens it at the tracked offset and
-		// its tail index stays live — so the failure costs this append
-		// only, and no sidecar gets persisted for a file still growing.
-		_ = s.dropHandle(l) // the handle list holds only logs with a file
-		return err
-	}
-	// Rotation is the moment a file becomes immutable — the one point
-	// where persisting its index is final. Best effort: a failed sidecar
-	// write costs a rebuild on the next range read, never the append.
-	_ = l.writeIndex(s, seq, sealedLen, sealed)
-	l.cacheIndex(seq, fileIndex{entries: sealed, dataLen: sealedLen})
-	l.tail = nil // ownership moved to the cache
-	return nil
+	l.dirty = false
+	s.syncs.Add(1)
+	return true, nil
 }
 
 // Append persists one batch of finalized segments for device: the write
 // AppendNoSync does plus the commit step of CommitDevices, in one hold
 // of the device lock, so no concurrent same-device rotation can poison
 // the log in between and Append never acknowledges bytes whose commit
-// fsync failed. Batches larger than recordChunk split into multiple
-// records; a torn append is truncated away on the next open, never
-// replayed as garbage.
+// fsync failed. A torn append is truncated away on the next open, never
+// replayed as garbage. Batches larger than recordChunk (16,384
+// segments) split into records written one at a time, so such a batch
+// is not all-or-nothing: a crash, or a write or rotation that fails
+// between its records, can leave its earlier records in the log
+// without the rest.
 func (s *Store) Append(device string, segs []traj.Segment) error {
 	if len(segs) == 0 {
 		return nil
@@ -868,8 +893,11 @@ func (s *Store) AppendNoSync(device string, segs []traj.Segment) error {
 	return s.appendLocked(l, segs)
 }
 
-// appendLocked writes segs to l's log and, on success, leaves it dirty
-// with one more pin for a commit to release. Caller holds l.mu.
+// appendLocked writes segs to l's log, one write per record, and on
+// success leaves it dirty with one more pin for a commit to release. A
+// record is indexed and its chain taken up only once its write has
+// succeeded, so l.tail and l.chain always describe what l.size does.
+// Caller holds l.mu.
 //
 //trajlint:holds l.mu
 func (s *Store) appendLocked(l *deviceLog, segs []traj.Segment) error {
@@ -888,119 +916,60 @@ func (s *Store) appendLocked(l *deviceLog, segs []traj.Segment) error {
 		return err
 	}
 	// Reopen the newest file if the residency walk took it; a log with
-	// no files yet is created below.
+	// no files yet gets file 1 from nextFile below.
 	if err := l.handle(s); err != nil {
 		return err
 	}
-	// Write combining: record frames accumulate in wbuf and reach the file
-	// in as few write syscalls as possible — typically one per append, so
-	// a sweep-merged multi-batch payload costs one write. Each physical
-	// write stays within maxTornTail bytes, keeping the recovery invariant
-	// that a crash mid-write tears at most one truncatable tail. Index
-	// entries for buffered records are staged in pend, and the chain the
-	// buffered records end on in c; both reach the log only once their
-	// bytes are on disk, so a failed or torn write leaves l.tail and
-	// l.chain describing what l.size does.
-	device := l.device
 	var written int64
 	wall := s.nowMs()
-	wbuf, pend := l.wbuf[:0], l.wtail[:0]
-	defer func() { l.wbuf, l.wtail = wbuf[:0], pend[:0] }()
-	c := l.chain
-	var entry int64 // offset of the index entry the next record would join
-	if n := len(l.tail); n > 0 {
-		entry = l.tail[n-1].off
-	}
-	flush := func() error {
-		if len(wbuf) == 0 {
-			return nil
-		}
-		n, err := l.f.Write(wbuf)
-		if err == nil {
-			l.size += int64(n)
-			written += int64(n)
-			// Index the records only now that they are fully on disk: a torn
-			// write must not leave entries pointing at truncated bytes.
-			for _, p := range pend {
-				l.addTail(p, wall)
-			}
-			l.chain = c
-			wbuf, pend = wbuf[:0], pend[:0]
-			return nil
-		}
-		// A partial write is a torn tail; try to cut it off now so the log
-		// stays clean for in-process readers. If even that fails, poison
-		// the log rather than append after garbage.
-		if n > 0 {
-			if terr := l.f.Truncate(l.size); terr == nil {
-				if _, serr := l.f.Seek(l.size, 0); serr == nil {
-					return fmt.Errorf("segstore: append %s: %w", device, err)
-				}
-			}
-			return s.poisonLocked(l, fmt.Errorf("segstore: log %s unwritable after torn append: %w", device, err))
-		}
-		return fmt.Errorf("segstore: append %s: %w", device, err)
-	}
 	for off := 0; off < len(segs); off += recordChunk {
 		chunk := segs[off:min(off+recordChunk, len(segs))]
 		// A record opens an index entry once the current one spans the
 		// index granularity, and the record that opens one is a chain
 		// start; every other record continues the chain (record.go).
-		pending := int64(len(wbuf))
-		if l.size+pending-entry >= s.idxGran {
+		c := l.chain
+		var entry int64 // offset of the index entry the record would join
+		if n := len(l.tail); n > 0 {
+			entry = l.tail[n-1].off
+		}
+		if l.size-entry >= s.idxGran {
 			c.ok = false
 		}
 		next := l.encodeRecord(chunk, c)
-		newFile := true
-		switch {
-		case l.f == nil:
-			seq := 1
-			if n := len(l.seqs); n > 0 {
-				seq = l.seqs[n-1] + 1
-			}
-			if err := l.create(s, seq); err != nil {
+		if l.f == nil || l.legacy || l.size > int64(len(fileMagic)) && l.size+int64(len(l.frame)) > s.cfg.MaxFileSize {
+			if err := s.nextFile(l); err != nil {
 				return err
 			}
-		case l.legacy || l.size+pending > int64(len(fileMagic)) && l.size+pending+int64(len(l.frame)) > s.cfg.MaxFileSize:
-			if err := flush(); err != nil {
-				return err
-			}
-			if err := l.rotate(s); err != nil {
-				return err
-			}
-			// Rotation is the moment the log grows past a file boundary:
-			// enforce retention now, while the budget overshoot is one file.
-			// Failure here must not fail the append — the maintenance loop
-			// retries on its next tick.
-			_ = s.compactLocked(l)
-		default:
-			newFile = false
-		}
-		if newFile && c.ok {
-			// A new file starts a new chain.
-			c = chain{}
-			next = l.encodeRecord(chunk, c)
-		}
-		// Keep each physical write within the torn-tail budget recovery
-		// accepts: one interrupted write's worth of invalid bytes.
-		if len(wbuf) > 0 && len(wbuf)+len(l.frame) > maxTornTail {
-			if err := flush(); err != nil {
-				return err
+			if c.ok {
+				// A new file starts a new chain.
+				c = chain{}
+				next = l.encodeRecord(chunk, c)
 			}
 		}
-		at := l.size + int64(len(wbuf))
-		if !c.ok {
-			entry = at
+		// One frame per write keeps a torn write within maxTornTail, the
+		// invalid tail recovery truncates rather than calls corruption.
+		n, err := l.f.Write(l.frame)
+		if err != nil {
+			// A partial write is a torn tail; try to cut it off now so the
+			// log stays clean for in-process readers. If even that fails,
+			// poison the log rather than append after garbage.
+			if n > 0 {
+				if terr := l.f.Truncate(l.size); terr == nil {
+					if _, serr := l.f.Seek(l.size, 0); serr == nil {
+						return fmt.Errorf("segstore: append %s: %w", l.device, err)
+					}
+				}
+				return s.poisonLocked(l, fmt.Errorf("segstore: log %s unwritable after torn append: %w", l.device, err))
+			}
+			return fmt.Errorf("segstore: append %s: %w", l.device, err)
 		}
 		minT, maxT, _ := segTimeRange(chunk)
-		pend = append(pend, tailSpan{off: at, minT: minT, maxT: maxT, opens: !c.ok})
-		wbuf = append(wbuf, l.frame...)
-		c = next
+		l.addTail(indexEntry{off: l.size, minT: minT, maxT: maxT, wall: wall}, !c.ok)
+		l.size += int64(n)
+		l.chain = next
+		l.dirty = true
+		written += int64(n)
 	}
-	if err := flush(); err != nil {
-		return err
-	}
-	l.dirty = true
 	l.pins++
 	s.appends.Add(1)
 	s.segments.Add(int64(len(segs)))
@@ -1064,24 +1033,17 @@ func (s *Store) commitLocked(l *deviceLog) (unpinned bool, err error) {
 		l.pins--
 		unpinned = l.pins == 0
 	}
-	// Nothing to sync: a poisoned log already surfaced its failure through
-	// the append, an evicted instance holds no deferred state (the walk
-	// skips pinned logs), and a nil handle means Close or rotation already
-	// made the bytes durable.
-	if l.failed != nil || l.evicted || s.cfg.Sync != SyncAlways || !l.dirty || l.f == nil {
+	if s.cfg.Sync != SyncAlways {
 		return unpinned, nil
 	}
-	if err := l.f.Sync(); err != nil {
-		// A failed fsync must not be retried as if nothing happened — the
-		// kernel may have dropped the dirty pages. Quarantine the log so
-		// the next append surfaces the durability loss instead of
-		// extending an unflushed file.
-		return unpinned, s.poisonLocked(l, fmt.Errorf("segstore: commit %s: %w", l.device, err))
+	// A poisoned or evicted log holds no handle and nothing dirty, and a
+	// handle the residency walk or Close took was synced there: syncLocked
+	// has nothing to do for any of them.
+	synced, err := s.syncLocked(l, "commit")
+	if synced {
+		s.groupSyncs.Add(1)
 	}
-	l.dirty = false
-	s.syncs.Add(1)
-	s.groupSyncs.Add(1)
-	return unpinned, nil
+	return unpinned, err
 }
 
 // Devices lists every device with a log on disk, sorted. Stray entries
@@ -1135,19 +1097,8 @@ func (s *Store) Sync() error {
 	var first error
 	for _, l := range s.residentLogs() {
 		l.mu.Lock()
-		if l.dirty && l.f != nil {
-			if err := l.f.Sync(); err != nil {
-				// Quarantine instead of retrying the failed fsync on the
-				// same descriptor next tick — the retry would report
-				// success without the dropped pages ever reaching disk.
-				perr := s.poisonLocked(l, fmt.Errorf("segstore: background sync %s: %w", l.device, err))
-				if first == nil {
-					first = perr
-				}
-			} else {
-				l.dirty = false
-				s.syncs.Add(1)
-			}
+		if _, err := s.syncLocked(l, "background sync"); err != nil && first == nil {
+			first = err
 		}
 		l.mu.Unlock()
 	}
@@ -1232,16 +1183,13 @@ func (s *Store) Close() error {
 	var first error
 	for _, l := range s.residentLogs() {
 		l.mu.Lock()
-		if l.f != nil {
-			if s.cfg.Sync != SyncNever && l.dirty {
-				if err := l.f.Sync(); err != nil && first == nil {
-					first = fmt.Errorf("segstore: %w", err)
-				}
-				s.syncs.Add(1)
+		if s.cfg.Sync != SyncNever {
+			if _, err := s.syncLocked(l, "close"); err != nil && first == nil {
+				first = err
 			}
-			if err := s.dropHandle(l); err != nil && first == nil {
-				first = fmt.Errorf("segstore: %w", err)
-			}
+		}
+		if err := s.dropHandle(l); err != nil && first == nil {
+			first = fmt.Errorf("segstore: %w", err)
 		}
 		l.mu.Unlock()
 	}
