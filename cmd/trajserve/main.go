@@ -85,12 +85,12 @@
 // -retention-age bound each device's log on disk by deleting whole
 // rotated files oldest-first. Reads (/segments, /at, /tail resume)
 // run concurrently with ingest — queries snapshot the log and decode
-// outside its lock — and are served from a byte-budgeted decoded-read
-// cache sized by -read-cache-bytes (0 disables it): a repeated window
-// or position probe does no disk I/O at all. GET /stats reports the
-// storage tier's counters (appends, bytes, handle hits/misses/
-// evictions, read-cache hits/misses/resident bytes, bytes reclaimed,
-// files deleted) under "store" alongside the engine's.
+// outside its lock — and are served from a byte-budgeted segment cache
+// (24 bytes a cached segment) sized by -read-cache-bytes (0 disables
+// it): a repeated window or position probe does no disk I/O at all.
+// GET /stats reports the storage tier's counters (appends, bytes,
+// handle hits/misses/evictions, read-cache hits/misses/resident bytes,
+// bytes reclaimed, files deleted) under "store" alongside the engine's.
 // Request bodies are capped at -max-body bytes; larger uploads get 413.
 //
 // Overload behavior: -device-rate/-device-burst enforce a per-device
@@ -153,7 +153,7 @@ func main() {
 		maxOpen    = flag.Int("max-open-files", 0, "cap on simultaneously open segment-log file handles; cold device logs are transparently closed and reopened (0 = store default)")
 		retBytes   = flag.Int64("retention-bytes", 0, "per-device segment-log disk budget; rotated files are deleted oldest-first beyond it (0 = keep everything)")
 		retAge     = flag.Duration("retention-age", 0, "delete rotated segment-log files whose last append is older than this (0 = keep everything)")
-		readCache  = flag.Int64("read-cache-bytes", segstore.DefaultReadCacheBytes, "byte budget for the decoded segment-read cache serving /segments and /at (0 = no caching)")
+		readCache  = flag.Int64("read-cache-bytes", segstore.DefaultReadCacheBytes, "byte budget for the segment-read cache serving /segments and /at, which holds a cached segment in 24 bytes (0 = no caching)")
 
 		sinkWriters = flag.Int("sink-writers", 0, "goroutines draining the async segment-sink queue (0 = engine default)")
 		sinkQueue   = flag.Int("sink-queue", 0, "per-writer sink queue depth in batches (0 = engine default)")
@@ -963,13 +963,24 @@ func (s *server) handleDeviceAt(w http.ResponseWriter, r *http.Request) {
 	}
 	p := seg.At(tms)
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(map[string]any{
-		"device":  device,
-		"t_ms":    tms,
-		"x_m":     p.X,
-		"y_m":     p.Y,
-		"segment": newSegmentRecord(device, seg),
+	json.NewEncoder(w).Encode(atAnswer{
+		Device:  device,
+		Segment: newSegmentRecord(device, seg),
+		T:       tms,
+		X:       p.X,
+		Y:       p.Y,
 	})
+}
+
+// atAnswer is the body of a /at answer. Its fields follow the sorted key
+// order encoding/json gives a map, the form the answer first took, so
+// the bytes are the same without a map to sort and values to box.
+type atAnswer struct {
+	Device  string        `json:"device"`
+	Segment segmentRecord `json:"segment"`
+	T       int64         `json:"t_ms"`
+	X       float64       `json:"x_m"`
+	Y       float64       `json:"y_m"`
 }
 
 func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -14,6 +15,8 @@ import (
 	"time"
 
 	"trajsim/internal/gen"
+	"trajsim/internal/segstore"
+	"trajsim/internal/stream"
 	"trajsim/internal/traj"
 	"trajsim/internal/trajio"
 )
@@ -254,6 +257,63 @@ func TestDeviceAt(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("no store: status %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestDeviceAtBodyMatchesMapEncoding: a /at answer is encoded from a
+// struct, and its bytes are exactly what encoding a map of the same keys
+// and values gives, for positions west and south of the origin, far
+// from it, and at and between segment ends.
+func TestDeviceAtBodyMatchesMapEncoding(t *testing.T) {
+	store, err := segstore.Open(segstore.Config{Dir: t.TempDir(), Sync: segstore.SyncNever, ReadCacheBytes: segstore.DefaultReadCacheBytes})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := stream.NewEngine(stream.Config{Zeta: 40, Sink: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(newHandler(eng, store, newTailHub(0), testMaxBody))
+	t.Cleanup(func() {
+		srv.Close()
+		eng.Close()
+		store.Close()
+	})
+	const dev = "far-1"
+	segs := []traj.Segment{
+		{Start: traj.At(-123456.78, -0.01, 1_000), End: traj.At(-98765.43, 2.5, 5_000), StartIdx: 0, EndIdx: 9},
+		{Start: traj.At(-98765.43, 2.5, 5_000), End: traj.At(1.5e7, -9.99e6, 9_000), StartIdx: 9, EndIdx: 40},
+		{Start: traj.At(1.5e7, -9.99e6, 9_000), End: traj.At(0.07, 3e6, 1_700_000_012_345), StartIdx: 38, EndIdx: 1 << 40},
+	}
+	if err := store.Append(dev, segs); err != nil {
+		t.Fatal(err)
+	}
+	for _, tms := range []int64{1_000, 3_001, 5_000, 7_777, 9_000, 850_000_006_000, 1_700_000_012_345} {
+		seg, err := store.SegmentAt(dev, tms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := seg.At(tms)
+		var want bytes.Buffer
+		json.NewEncoder(&want).Encode(map[string]any{
+			"device":  dev,
+			"t_ms":    tms,
+			"x_m":     p.X,
+			"y_m":     p.Y,
+			"segment": newSegmentRecord(dev, seg),
+		})
+		resp, err := http.Get(fmt.Sprintf("%s/devices/%s/at?t=%d", srv.URL, dev, tms))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("at t=%d: status %d, %v", tms, resp.StatusCode, err)
+		}
+		if !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("at t=%d:\n got %s\nwant %s", tms, got, want.Bytes())
+		}
 	}
 }
 

@@ -30,13 +30,13 @@ func TestReadPathAllocs(t *testing.T) {
 		}
 	}
 	cold, warm := build(0), build(64<<20)
-	// declined holds two of the log's 64 KiB files' granules, the first
-	// and third file's (~380 KB decoded each), and has no room for a
-	// third: the window's span in the second file, read as often as they
-	// are, is never more frequent than the LRU victim, so every window
-	// read is a declined miss. A plain LRU would thrash on this cycle of
-	// three granules, missing every time.
-	declined := build(1 << 20)
+	// declined holds one granule of the log's two full 64 KiB files
+	// (~190 KB packed each), not both. The hot probes read both and the
+	// window the second file's, so that one is the more frequent and
+	// stays resident, and the probe of the first file is a miss the cache
+	// declines, never more frequent than the victim it would displace. A
+	// plain LRU would thrash on this cycle, missing twice a round.
+	declined := build(320 << 10)
 	hot := []int64{segs[10].Start.T, segs[11000].Start.T}
 	probeHot := func() {
 		for _, tm := range hot {
@@ -69,7 +69,7 @@ func TestReadPathAllocs(t *testing.T) {
 		}
 	}
 	if st := declined.Stats(); st.ReadCacheDeclined < 101 {
-		t.Errorf("declined/window: %d declined misses, want one per window read: %+v", st.ReadCacheDeclined, st)
+		t.Errorf("declined/window: %d declined misses, want one per round: %+v", st.ReadCacheDeclined, st)
 	}
 }
 

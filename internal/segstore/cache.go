@@ -5,17 +5,15 @@ import (
 	"math/bits"
 	"sync"
 	"sync/atomic"
-	"unsafe"
-
-	"trajsim/internal/traj"
 )
 
 // The granule cache is the read path's answer to the write path's group
-// commit: the same decoded segments should not cost a pread and a varint
-// decode on every query. A granule is one index-entry span of one log
-// file — a byte range starting and ending on record boundaries, the unit
-// every query reads through Store.span (read.go) — cached store-wide as
-// its decoded []traj.Segment under a byte budget (Config.ReadCacheBytes).
+// commit: the same segments should not cost a pread and a varint decode
+// on every query. A granule is one index-entry span of one log file — a
+// byte range starting and ending on record boundaries, the unit every
+// query reads through Store.span (read.go) — cached store-wide in a
+// packed form (packedSpan, packed.go) under a byte budget
+// (Config.ReadCacheBytes).
 //
 // Keys carry the span's end offset as well as its start. Spans of sealed
 // files are immutable, so their keys are stable; the live file's final
@@ -43,12 +41,16 @@ import (
 // is rarely read again. A one-pass scan cannot flush a hot set: its
 // granules are each seen once.
 //
-// Cached slices are immutable: readers copy segments out (an append of
-// struct values, no decode), SegmentAt scans them in place. A granule is
-// only inserted after a successful CRC-checked decode of exactly its key
-// span, so a cached answer is always the decode of the bytes the key
-// names — the coherence oracle test (cache_test.go) checks this against
-// a raw rescan after every mutation the store supports.
+// Granules are packed and immutable: a cached segment costs 24 bytes
+// and holds no pointer, against the 72 of a traj.Segment, and
+// readers rebuild only the segments a query returns, SegmentAt and
+// ReplayRange filtering on the packed times. A span whose values do not
+// rebuild bit-identically from the packed widths is not cached: it is
+// served as a declined miss. A granule is only inserted after a
+// successful CRC-checked decode of exactly its key span, so a cached
+// answer is always the decode of the bytes the key names — the coherence
+// oracle test (cache_test.go) checks this against a raw rescan after
+// every mutation the store supports.
 //
 // Concurrent admitted misses on one key are collapsed by a per-key
 // singleflight: the first reader does the pread+decode, the rest wait
@@ -56,7 +58,7 @@ import (
 // singleflight waiters); misses count actual pread+decode fetches,
 // declined ones included.
 
-// granuleKey names one immutable decoded byte span of a log file.
+// granuleKey names one immutable byte span of a log file.
 type granuleKey struct {
 	device   string
 	seq      int
@@ -89,44 +91,49 @@ type fileKey struct {
 	seq    int
 }
 
-// granule is one cached decoded span.
+// granule is one cached span.
 type granule struct {
 	key  granuleKey
-	segs []traj.Segment
+	span *packedSpan
 	cost int64
 	elem *list.Element
 }
 
-// inflightGranule is a singleflight slot: the leader fills segs/err and
-// closes done; waiters block on done and share the result.
+// inflightGranule is a singleflight slot: the leader fills span/err and
+// closes done; waiters block on done and share the result. Both nil
+// means the leader's span did not pack, and each waiter reads it itself.
 type inflightGranule struct {
 	done chan struct{}
-	segs []traj.Segment
+	span *packedSpan
 	err  error
 }
 
-// granuleCost approximates a granule's resident bytes: the decoded
-// segments plus fixed per-entry bookkeeping (map buckets, list element,
-// the granule struct itself).
-const granuleOverhead = 256
+// granuleOverhead approximates a granule's fixed resident bytes: the
+// granule and packedSpan structs, its list element and its entries in
+// byKey and byFile — about 840 bytes on amd64 for a granule alone in its
+// file, whose byFile entry is then a map of its own, and less when a
+// file holds several.
+const granuleOverhead = 800
 
-var segmentBytes = int64(unsafe.Sizeof(traj.Segment{}))
-
-func granuleCost(segs []traj.Segment) int64 {
-	return granuleOverhead + int64(cap(segs))*segmentBytes
+// granuleCost is a packed granule's resident bytes: its segments and
+// side table plus the fixed overhead.
+func granuleCost(p *packedSpan) int64 {
+	return granuleOverhead + int64(cap(p.segs))*packedSegBytes + int64(cap(p.starts))*packedStartBytes
 }
 
-// maxGranuleCost bounds the cost of a span of n bytes before it is read:
-// no segment takes fewer than minSegBytesV2 bytes on disk, in either
-// record layout.
+// maxGranuleCost bounds the packed cost of a span of n bytes before it is
+// read. No segment takes fewer than minSegBytesV2 bytes on disk, in
+// either record layout, and none that needs a side-table entry fewer
+// than minStoredBytes, so the densest span packs at most
+// packedSegBytes + packedStartBytes per minStoredBytes bytes.
 func maxGranuleCost(n int64) int64 {
-	return granuleOverhead + n/minSegBytesV2*segmentBytes
+	return granuleOverhead + n*(packedSegBytes+packedStartBytes)/minStoredBytes
 }
 
-// granuleCache is the store-wide decoded-granule LRU. All fields are
-// guarded by mu except the counters; it takes no other lock, so it nests
-// freely inside deviceLog.mu (invalidateFile runs under it) and is never
-// held across I/O (load's fetch runs outside).
+// granuleCache is the store-wide granule LRU. All fields are guarded by
+// mu except the counters; it takes no other lock, so it nests freely
+// inside deviceLog.mu (invalidateFile runs under it) and is never held
+// across I/O (load's fetch runs outside).
 type granuleCache struct {
 	budget int64
 
@@ -153,13 +160,13 @@ func newGranuleCache(budget int64) *granuleCache {
 	}
 }
 
-// get counts one access of key and returns its decoded span if resident
+// get counts one access of key and returns its packed span if resident
 // — the hot path, taken before the caller even builds a fetch closure,
-// so a cached query allocates nothing here. The returned slice is shared
+// so a cached query allocates nothing here. The returned span is shared
 // and read-only. On a miss, admit reports whether the span, spanBytes
 // long on disk, should be fetched through load and kept; a declined
 // miss is counted here, and the caller reads it without the cache.
-func (c *granuleCache) get(key granuleKey, spanBytes int64) (segs []traj.Segment, hit, admit bool) {
+func (c *granuleCache) get(key granuleKey, spanBytes int64) (p *packedSpan, hit, admit bool) {
 	h := key.hash()
 	c.mu.Lock()
 	c.freq.add(h)
@@ -167,7 +174,7 @@ func (c *granuleCache) get(key granuleKey, spanBytes int64) (segs []traj.Segment
 		c.ll.MoveToFront(g.elem)
 		c.mu.Unlock()
 		c.hits.Add(1)
-		return g.segs, true, true
+		return g.span, true, true
 	}
 	admit = c.inflight[key] != nil || c.admitLocked(h, spanBytes)
 	c.mu.Unlock()
@@ -191,42 +198,57 @@ func (c *granuleCache) admitLocked(h uint64, spanBytes int64) bool {
 	return back == nil || c.freq.estimate(h) > c.freq.estimate(back.Value.(*granule).key.hash())
 }
 
-// load returns key's decoded span, fetching (and caching) it on a miss
-// that get admitted. fetch runs with no cache lock held and must return
-// a slice the cache can keep; concurrent loads of the same key share one
-// fetch. The returned slice is shared and must be treated as read-only.
-func (c *granuleCache) load(key granuleKey, fetch func() ([]traj.Segment, error)) ([]traj.Segment, error) {
+// load returns key's packed span, fetching (and caching) it on a miss
+// that get admitted. fetch runs with no cache lock held and returns
+// either a packed span the cache can keep or, when the span does not
+// pack, the caller's own view of its decoded segments, which load hands
+// back uncached and counts as a declined miss. Concurrent loads of the
+// same key share one fetch; a waiter whose leader's span did not pack
+// gets nil, a declined miss it must read itself. A returned cached span
+// is shared and must be treated as read-only.
+func (c *granuleCache) load(key granuleKey, fetch func() (*packedSpan, error)) (*packedSpan, error) {
 	c.mu.Lock()
 	if g, ok := c.byKey[key]; ok {
 		c.ll.MoveToFront(g.elem)
 		c.mu.Unlock()
 		c.hits.Add(1)
-		return g.segs, nil
+		return g.span, nil
 	}
 	if fl, ok := c.inflight[key]; ok {
 		c.mu.Unlock()
 		<-fl.done
-		if fl.err != nil {
+		switch {
+		case fl.err != nil:
 			return nil, fl.err
+		case fl.span == nil:
+			c.misses.Add(1)
+			c.declined.Add(1)
+			return nil, nil
 		}
 		c.hits.Add(1) // shared the leader's fetch: no extra I/O
-		return fl.segs, nil
+		return fl.span, nil
 	}
 	fl := &inflightGranule{done: make(chan struct{})}
 	c.inflight[key] = fl
 	c.mu.Unlock()
 
 	c.misses.Add(1)
-	segs, err := fetch()
-	fl.segs, fl.err = segs, err
+	p, err := fetch()
+	keep := err == nil && p.raw == nil
+	if keep {
+		fl.span = p
+	} else if err == nil {
+		c.declined.Add(1)
+	}
+	fl.err = err
 	c.mu.Lock()
 	delete(c.inflight, key)
-	if err == nil {
-		c.insertLocked(key, segs)
+	if keep {
+		c.insertLocked(key, p)
 	}
 	c.mu.Unlock()
 	close(fl.done)
-	return segs, err
+	return p, err
 }
 
 // insertLocked adds one fetched granule and evicts the coldest entries
@@ -234,15 +256,15 @@ func (c *granuleCache) load(key granuleKey, fetch func() ([]traj.Segment, error)
 // cached at all. Caller holds c.mu.
 //
 //trajlint:holds c.mu
-func (c *granuleCache) insertLocked(key granuleKey, segs []traj.Segment) {
+func (c *granuleCache) insertLocked(key granuleKey, p *packedSpan) {
 	if c.byKey[key] != nil {
 		return // a racing invalidate+reload beat us; keep the resident one
 	}
-	cost := granuleCost(segs)
+	cost := granuleCost(p)
 	if cost > c.budget {
 		return
 	}
-	g := &granule{key: key, segs: segs, cost: cost}
+	g := &granule{key: key, span: p, cost: cost}
 	g.elem = c.ll.PushFront(g)
 	c.byKey[key] = g
 	fk := fileKey{key.device, key.seq}
@@ -315,7 +337,7 @@ func (c *granuleCache) declinedCount() int64 {
 	return c.declined.Load()
 }
 
-// sizeBytes reports the resident decoded bytes.
+// sizeBytes reports the resident packed bytes.
 func (c *granuleCache) sizeBytes() int64 {
 	if c == nil {
 		return 0
@@ -326,14 +348,15 @@ func (c *granuleCache) sizeBytes() int64 {
 }
 
 // sketch is TinyLFU's frequency filter: a count-min sketch of 4-bit
-// counters (held in bytes, saturating at 15). A key's four counters, one
-// per row, lie in one 64-byte block chosen by its hash — sixteen
+// counters, two to a byte, saturating at 15. A key's four counters, one
+// per row, lie in one 32-byte block chosen by its hash — sixteen
 // counters of each row per block, as in Caffeine's sketch — so counting
 // an access touches one cache line. After sample accesses every counter
 // is halved, so estimates follow what is popular now rather than what
-// ever was.
+// ever was. The counters are allocated by the first access, so a store
+// that never reads holds none.
 type sketch struct {
-	counts []uint8 // blocks of 64 counters: 16 per row
+	counts []uint8 // blocks of 64 counters, 16 per row; counter i is nibble i&1 of byte i/2
 	blocks uint64  // a power of two
 	n      int     // accesses counted since the last halving, halved with it
 	sample int
@@ -344,22 +367,24 @@ const (
 	// (at least sketchMinEntries): it halves its counters after 10 ×
 	// entries accesses, the sample TinyLFU prescribes, and each row has
 	// one counter per access in a sample, rounded up to a power of two —
-	// one byte per counter, four rows: under 1% of any budget from 128 KiB
-	// up. 8 KiB is a small granule, so entries errs high and the sketch
-	// ages slowly; a granule read again after a pause keeps its count. On
-	// servebench's mixed-live workload it admitted better than 32 KiB, the
-	// decoded size of its typical span (granule hit ratio 0.16–0.18
-	// against 0.13–0.15, seeds 3003–3005).
+	// half a byte per counter, four rows: under 0.5% of any budget from
+	// 128 KiB up. 8 KiB is a small granule, so entries errs high and the
+	// sketch ages slowly; a granule read again after a pause keeps its
+	// count. On servebench's mixed-live workload it admitted better than
+	// 32 KiB, the decoded size of its typical span (granule hit ratio
+	// 0.16–0.18 against 0.13–0.15, seeds 3003–3005).
 	sketchGranule    = 8 << 10
 	sketchMinEntries = 16
 	sketchMaxCount   = 15
 )
 
+// newSketch sizes a sketch for budget; its counters come with the first
+// add.
 func newSketch(budget int64) sketch {
 	entries := max(budget/sketchGranule, sketchMinEntries)
 	sample := 10 * entries
 	width := uint64(1) << bits.Len64(uint64(sample-1)) // counters per row
-	return sketch{counts: make([]uint8, 4*width), blocks: width / 16, sample: int(sample)}
+	return sketch{blocks: width / 16, sample: int(sample)}
 }
 
 // slot returns the index of h's counter in row r: the low bits of h pick
@@ -371,25 +396,31 @@ func (f *sketch) slot(h uint64, r int) uint64 {
 
 // add counts one access of h.
 func (f *sketch) add(h uint64) {
+	if f.counts == nil {
+		f.counts = make([]uint8, f.blocks*32)
+	}
 	for r := 0; r < 4; r++ {
-		if i := f.slot(h, r); f.counts[i] < sketchMaxCount {
-			f.counts[i]++
+		i := f.slot(h, r)
+		if shift := i & 1 * 4; f.counts[i>>1]>>shift&15 < sketchMaxCount {
+			f.counts[i>>1] += 1 << shift
 		}
 	}
 	if f.n++; f.n >= f.sample {
 		for i := range f.counts {
-			f.counts[i] >>= 1
+			f.counts[i] = f.counts[i] >> 1 & 0x77 // both nibbles at once
 		}
 		f.n /= 2
 	}
 }
 
 // estimate returns h's recent access count: the smallest of its four
-// counters, which collisions can only inflate.
+// counters, which collisions can only inflate. It reads counters add
+// has allocated.
 func (f *sketch) estimate(h uint64) uint8 {
 	est := uint8(sketchMaxCount)
 	for r := 0; r < 4; r++ {
-		est = min(est, f.counts[f.slot(h, r)])
+		i := f.slot(h, r)
+		est = min(est, f.counts[i>>1]>>(i&1*4)&15)
 	}
 	return est
 }

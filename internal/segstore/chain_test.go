@@ -248,13 +248,7 @@ func FuzzRecordChain(f *testing.F) {
 			t.Fatalf("%d batches encoded as one span decode to %d segments, %v; want %d", len(batches), len(got), err, len(want))
 		}
 
-		reframed := []byte(nil)
-		for rest := b; len(rest) > 0; {
-			n := min(int(rest[0]), len(rest)-1)
-			reframed = enc.AppendFrame(reframed, rest[1:1+n])
-			rest = rest[1+n:]
-		}
-		for _, in := range [][]byte{b, reframed} {
+		for _, in := range [][]byte{b, reframe(b)} {
 			got, err := decodeRecordRange(nil, in)
 			want, wantErr := refDecodeRecordRange(nil, in)
 			if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
@@ -265,6 +259,18 @@ func FuzzRecordChain(f *testing.F) {
 			}
 		}
 	})
+}
+
+// reframe reads b as length-prefixed payloads, each length one byte, and
+// frames them into a span whose every payload passes its CRC.
+func reframe(b []byte) []byte {
+	var span []byte
+	for rest := b; len(rest) > 0; {
+		n := min(int(rest[0]), len(rest)-1)
+		span = enc.AppendFrame(span, rest[1:1+n])
+		rest = rest[1+n:]
+	}
+	return span
 }
 
 // chainBatches reads b as segments of five bytes each — control, two

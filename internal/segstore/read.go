@@ -31,11 +31,13 @@ import (
 // log stays resident (handles.go). Readers open their own descriptors,
 // so they never refresh a log's handle recency, only its residency.
 //
-// Every query reads through one function, span: the decoded segments of
-// one index-entry span. With Config.ReadCacheBytes set it serves the
-// span from the granule cache (cache.go), decoding it once on a miss the
-// cache admits — a hot SegmentAt or ReplayRange over cached granules
-// does no I/O at all. With the cache off, or on a miss the cache
+// Every query reads through one function, span: the segments of one
+// index-entry span, as a packedSpan. With Config.ReadCacheBytes set it
+// serves the span from the granule cache (cache.go), decoding and
+// packing it once on a miss the cache admits — a hot SegmentAt or
+// ReplayRange over cached granules does no I/O at all, binary-searches a
+// time-sorted granule, and rebuilds only the segments it returns
+// (packed.go). With the cache off, or on a miss the cache
 // declines, it preads that one span into the snapshot's buffer and
 // decodes into the snapshot's scratch, so a query holds one span in
 // memory at a time besides its result.
@@ -61,11 +63,14 @@ type readSnap struct {
 	// spans of one file and closed by the next file or by release.
 	f    file
 	fseq int
-	// Span pread buffer and cache-off decode scratch. An entry span is
-	// bounded by the index granularity plus one record, so both stay
-	// small however large the log.
+	// Span pread buffer and decode scratch, the packing scratch of an
+	// admitted miss, and the view span hands out of a span read past the
+	// cache. An entry span is bounded by the index granularity plus one
+	// record, so all stay small however large the log.
 	buf     []byte
 	scratch []traj.Segment
+	packing packedSpan
+	view    packedSpan
 }
 
 // spanPlan is one file's share of a query: its index and the entry
@@ -190,34 +195,52 @@ func (s *Store) readPlan(snap *readSnap, p spanPlan, from, to int64, read func(s
 	}
 }
 
-// span returns the decoded segments of file seq's index-entry span
-// [off, end) — the one place the read path decides between the granule
-// cache and the disk. A hit is served from the cache. A miss the cache
-// admits (cache.go) is fetched once through its singleflight and kept
-// at exact length. A miss it declines, and every read with the cache
-// off, preads the span into the snapshot's buffer and decodes it into
-// the snapshot's scratch: no fresh slice, no singleflight slot, no
-// eviction. A cached span is shared and read-only; an uncached one is
-// valid until the next span call. Either way the caller must not modify
-// or keep it.
-func (s *Store) span(snap *readSnap, seq int, off, end int64) ([]traj.Segment, error) {
+// span returns the segments of file seq's index-entry span [off, end) —
+// the one place the read path decides between the granule cache and the
+// disk. A hit is served from the cache. A miss the cache admits
+// (cache.go) is fetched once through its singleflight, packed into the
+// snapshot's packing scratch and kept as an exact-size copy; one that
+// does not pack is served as a declined miss. A miss the cache declines,
+// and every read with the cache off, preads the span into the snapshot's
+// buffer and decodes it into the snapshot's scratch: no fresh slice, no
+// singleflight slot, no eviction. A cached span is shared and read-only;
+// an uncached one is valid until the next span call. Either way the
+// caller must not modify or keep it.
+func (s *Store) span(snap *readSnap, seq int, off, end int64) (*packedSpan, error) {
 	if s.cache != nil {
 		key := granuleKey{snap.device, seq, off, end}
-		segs, hit, admit := s.cache.get(key, end-off)
+		p, hit, admit := s.cache.get(key, end-off)
 		if hit {
-			return segs, nil
+			return p, nil
 		}
 		if admit {
-			return s.cache.load(key, func() ([]traj.Segment, error) {
+			p, err := s.cache.load(key, func() (*packedSpan, error) {
 				segs, err := s.readSpan(snap, seq, off, end)
 				if err != nil {
 					return nil, err
 				}
-				return append(make([]traj.Segment, 0, len(segs)), segs...), nil
+				if !snap.packing.pack(segs) {
+					return snap.viewOf(segs), nil
+				}
+				return snap.packing.clone(), nil
 			})
+			if p != nil || err != nil {
+				return p, err
+			}
+			// A waiter on a leader whose span did not pack reads it itself.
 		}
 	}
-	return s.readSpan(snap, seq, off, end)
+	segs, err := s.readSpan(snap, seq, off, end)
+	if err != nil {
+		return nil, err
+	}
+	return snap.viewOf(segs), nil
+}
+
+// viewOf hands out decoded segments as the snapshot's uncached span.
+func (snap *readSnap) viewOf(segs []traj.Segment) *packedSpan {
+	snap.view.raw = segs
+	return &snap.view
 }
 
 // readSpan preads file seq's bytes [off, end) — whole records — into the
@@ -303,14 +326,15 @@ func (s *Store) replayRange(snap *readSnap, from, to int64) ([]traj.Segment, err
 				if !e.overlaps(from, to) {
 					continue
 				}
-				segs, err := s.span(snap, p.seq, e.off, entryEnd(p.fi, i))
+				sp, err := s.span(snap, p.seq, e.off, entryEnd(p.fi, i))
 				if err != nil {
 					return err
 				}
 				// The span covers whole records; keep only the segments in range.
-				for _, sg := range segs {
-					if sg.End.T >= from && sg.Start.T <= to {
-						out = append(out, sg)
+				lo, hi := sp.within(from, to)
+				for j := lo; j < hi; j++ {
+					if sp.endT(j) >= from && sp.startT(j) <= to {
+						out = append(out, sp.seg(j))
 					}
 				}
 			}
@@ -411,13 +435,14 @@ func (s *Store) SegmentAt(device string, t int64) (traj.Segment, error) {
 				if !e.overlaps(t, t) {
 					continue
 				}
-				segs, err := s.span(snap, p.seq, e.off, entryEnd(p.fi, k))
+				sp, err := s.span(snap, p.seq, e.off, entryEnd(p.fi, k))
 				if err != nil {
 					return err
 				}
-				for j := len(segs) - 1; j >= 0; j-- {
-					if segs[j].Start.T <= t && t <= segs[j].End.T {
-						seg, found = segs[j], true
+				lo, hi := sp.within(t, t)
+				for j := hi - 1; j >= lo; j-- {
+					if sp.startT(j) <= t && t <= sp.endT(j) {
+						seg, found = sp.seg(j), true
 						return nil
 					}
 				}

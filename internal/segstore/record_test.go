@@ -2,7 +2,6 @@ package segstore
 
 import (
 	"fmt"
-	"slices"
 	"testing"
 
 	"trajsim/internal/core"
@@ -149,17 +148,21 @@ func TestRecordV2MatchesV1(t *testing.T) {
 
 // TestMaxGranuleCostBoundsSpans: the cache admits a miss by the cost
 // maxGranuleCost predicts from the span's length on disk, so that must
-// bound the decoded cost of a span of any layout — including one of
+// bound the packed cost of a span of any layout — including one of
 // segments as small as the v2 layout gets (5 bytes: a continuous
 // segment with a one-byte End and span), which v1's nine-byte minimum
-// would underestimate, and spans of chained one-segment records, the
-// densest thing a live stream writes.
+// would underestimate, one whose every segment needs a side-table entry
+// at the fewest bytes that takes on disk (8: a StartIdx jump past 16
+// bits), and spans of chained one-segment records, the densest thing a
+// live stream writes.
 func TestMaxGranuleCostBoundsSpans(t *testing.T) {
 	minimal := make([]traj.Segment, 600)
+	jumps := make([]traj.Segment, 600)
 	for i := range minimal {
 		minimal[i] = traj.Segment{Start: traj.At(1, 1, int64(i)), End: traj.At(1, 1, int64(i+1)), StartIdx: i, EndIdx: i + 1}
+		jumps[i] = traj.Segment{Start: traj.At(1, 1, int64(i)), End: traj.At(1, 1, int64(i+1)), StartIdx: 40000 * i, EndIdx: 40000*i + 1}
 	}
-	cases := map[string][]traj.Segment{"minimal": minimal, "synthetic": syntheticSegs(600)}
+	cases := map[string][]traj.Segment{"minimal": minimal, "wide-jumps": jumps, "synthetic": syntheticSegs(600)}
 	for i, p := range gen.Presets {
 		cases[p.String()] = simplified(t, p, 4000, uint64(60+i))
 	}
@@ -175,7 +178,11 @@ func TestMaxGranuleCostBoundsSpans(t *testing.T) {
 					t.Fatal(err)
 				}
 				label := fmt.Sprintf("%s/%s/records of %d", name, layout.name, chunk)
-				if cost, bound := granuleCost(slices.Clip(decoded)), maxGranuleCost(int64(len(span))); cost > bound {
+				var p packedSpan
+				if !p.pack(decoded) {
+					t.Fatalf("%s: does not pack", label)
+				}
+				if cost, bound := granuleCost(p.clone()), maxGranuleCost(int64(len(span))); cost > bound {
 					t.Errorf("%s: %d segments in %d bytes cost %d, bound %d", label, len(decoded), len(span), cost, bound)
 				}
 			}

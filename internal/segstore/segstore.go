@@ -177,12 +177,12 @@ type Config struct {
 	// so a log can still answer where its device last was. 0 keeps
 	// everything.
 	MaxLogAge time.Duration
-	// ReadCacheBytes, when positive, enables the store-wide decoded-read
-	// cache (cache.go) with that byte budget: index-entry spans decode
-	// once and hot ReplayRange/SegmentAt queries are served from memory
-	// with no I/O. 0 disables the cache (every read goes to disk, as
-	// before); negative is an error. DefaultReadCacheBytes is a sensible
-	// serving-tier budget.
+	// ReadCacheBytes, when positive, enables the store-wide read cache
+	// (cache.go) with that byte budget: index-entry spans decode once,
+	// are kept packed at 24 bytes a segment, and hot ReplayRange and
+	// SegmentAt queries are served from memory with no I/O. 0 disables
+	// the cache (every read goes to disk, as before); negative is an
+	// error. DefaultReadCacheBytes is a sensible serving-tier budget.
 	ReadCacheBytes int64
 }
 
@@ -216,7 +216,7 @@ type Stats struct {
 	ReadBytes      int64 `json:"read_bytes"`        // record bytes preaded by queries and replays
 	ReadCacheHits  int64 `json:"read_cache_hits"`   // granule reads served from the cache (no I/O)
 	ReadCacheMiss  int64 `json:"read_cache_misses"` // granule reads that fetched from disk
-	ReadCacheBytes int64 `json:"read_cache_bytes"`  // decoded bytes resident in the cache now
+	ReadCacheBytes int64 `json:"read_cache_bytes"`  // packed bytes resident in the cache now
 
 	ReadCacheDeclined int64 `json:"read_cache_declined"` // misses read from disk that the cache chose not to keep
 }

@@ -26,7 +26,7 @@ import (
 // scanning the log. Reads run concurrently with appends — queries
 // snapshot the log and decode outside its lock — and setting
 // SegmentStoreConfig.ReadCacheBytes (DefaultReadCacheBytes is a
-// sensible budget) serves repeated queries from a decoded-span cache
+// sensible budget) serves repeated queries from a cache of packed spans
 // with no disk I/O.
 type (
 	// SegmentStore is an append-only segment log over one directory:
